@@ -19,6 +19,15 @@
 // the values are unchanged. This relies on the build not enabling FMA
 // contraction (see the top-level CMakeLists: -mno-fma on purpose).
 //
+// Structural zeros. An update whose multiplier a (resp. L(k, m)) is exactly
+// zero is skipped. For finite b, `c - 0*b` is `c` for every nonzero c, so a
+// skip changes no nonzero bit; only an exactly-zero c can differ, and only
+// in sign (`-0 - (-0) = +0`), which needs a -0 already in the input (a
+// chain of subtractions never turns +0 into -0). The skip is decided per
+// (i, k) pair from the multiplier alone, so the unblocked loop, every block
+// size and every thread count skip the same updates and stay bitwise
+// identical to each other.
+//
 // Shape note: the j loop is innermost and contiguous on B rows and the C row.
 // That is deliberately NOT a fixed-size register tile — with leading
 // dimensions only known at run time, GCC's SLP vectoriser abandons small
@@ -53,35 +62,64 @@ inline constexpr std::size_t kGemmUnrollK<double> = 8;
 
 /// C -= A * B for row-major operands with independent leading dimensions:
 /// C is mr x nc (ldc), A is mr x kb (lda), B is kb x nc (ldb).
-/// Per-element accumulation order: for each (i, j), k ascends 0..kb-1.
+/// Per-element accumulation order: for each (i, j), k ascends 0..kb-1,
+/// skipping every k with A(i, k) == 0.
 template <typename T>
 void gemm_minus(std::size_t mr, std::size_t nc, std::size_t kb, const T* a,
                 std::size_t lda, const T* b, std::size_t ldb, T* c,
                 std::size_t ldc) {
   constexpr std::size_t KU = kGemmUnrollK<T>;
+  // One fused pass: C row strip -= sum of KU rank-1 updates, applied in
+  // order u = 0..KU-1 (ascending k) with one load/store of C per element.
+  auto fused = [](const T (&x)[KU], const T* const (&bp)[KU], T* ci,
+                  std::size_t j0, std::size_t j1) {
+    for (std::size_t j = j0; j < j1; ++j) {
+      T s = ci[j];
+      for (std::size_t u = 0; u < KU; ++u) s -= x[u] * bp[u][j];
+      ci[j] = s;
+    }
+  };
   for (std::size_t j0 = 0; j0 < nc; j0 += kGemmStrip) {
     const std::size_t j1 = std::min(j0 + kGemmStrip, nc);
     for (std::size_t i = 0; i < mr; ++i) {
       const T* ai = a + i * lda;
       T* ci = c + i * ldc;
+      // Pending nonzero multipliers of row i (ascending k), flushed through
+      // the fused pass KU at a time; a zero multiplier is a no-op update.
+      T x[KU];
+      const T* bp[KU];
+      std::size_t m = 0;
+      auto push = [&](std::size_t k) {
+        if (ai[k] == T{}) return;
+        x[m] = ai[k];
+        bp[m] = b + k * ldb;
+        if (++m == KU) {
+          fused(x, bp, ci, j0, j1);
+          m = 0;
+        }
+      };
       std::size_t k = 0;
       for (; k + KU <= kb; k += KU) {
-        T x[KU];
-        const T* bp[KU];
+        // A zero-free group with nothing pending takes the plain fused pass.
+        bool dense = m == 0;
+        for (std::size_t u = 0; u < KU; ++u) dense &= ai[k + u] != T{};
+        if (!dense) {
+          for (std::size_t u = 0; u < KU; ++u) push(k + u);
+          continue;
+        }
+        T xd[KU];
+        const T* bd[KU];
         for (std::size_t u = 0; u < KU; ++u) {
-          x[u] = ai[k + u];
-          bp[u] = b + (k + u) * ldb;
+          xd[u] = ai[k + u];
+          bd[u] = b + (k + u) * ldb;
         }
-        for (std::size_t j = j0; j < j1; ++j) {
-          T s = ci[j];
-          for (std::size_t u = 0; u < KU; ++u) s -= x[u] * bp[u][j];
-          ci[j] = s;
-        }
+        fused(xd, bd, ci, j0, j1);
       }
-      for (; k < kb; ++k) {
-        const T aik = ai[k];
-        const T* bk = b + k * ldb;
-        for (std::size_t j = j0; j < j1; ++j) ci[j] -= aik * bk[j];
+      for (; k < kb; ++k) push(k);
+      for (std::size_t u = 0; u < m; ++u) {
+        const T xu = x[u];
+        const T* bu = bp[u];
+        for (std::size_t j = j0; j < j1; ++j) ci[j] -= xu * bu[j];
       }
     }
   }
@@ -91,7 +129,8 @@ void gemm_minus(std::size_t mr, std::size_t nc, std::size_t kb, const T* a,
 /// C <- L^-1 C where L is the kb x kb unit-lower block at `l` (ldl) and C is
 /// kb x nc (ldc). Row k of the result accumulates -= L(k, m) * C(m, :) in
 /// ascending m < k — the same per-element order as unblocked elimination
-/// applying pivot steps m = 0..k-1 to a row of the trailing matrix.
+/// applying pivot steps m = 0..k-1 to a row of the trailing matrix, with
+/// the same skip of every update whose L(k, m) is exactly zero.
 template <typename T>
 void trsm_lower_unit_minus(std::size_t kb, std::size_t nc, const T* l,
                            std::size_t ldl, T* c, std::size_t ldc) {
@@ -100,6 +139,7 @@ void trsm_lower_unit_minus(std::size_t kb, std::size_t nc, const T* l,
     T* ck = c + k * ldc;
     for (std::size_t m = 0; m < k; ++m) {
       const T lkm = lk[m];
+      if (lkm == T{}) continue;
       const T* cm = c + m * ldc;
       for (std::size_t j = 0; j < nc; ++j) ck[j] -= lkm * cm[j];
     }

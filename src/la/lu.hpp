@@ -7,9 +7,12 @@
 // The elimination is cache-blocked (la/kernels.hpp): panel factor with
 // partial pivoting, unit-lower TRSM on the panel's trailing row block, then
 // a rank-kb GEMM on the trailing matrix. Because every kernel applies the
-// updates to each element in ascending pivot order, the blocked factor is
-// bitwise-identical to the classic unblocked loop (block = 1) and to itself
-// at any IND_THREADS for a fixed block size. float / complex<float>
+// updates to each element in ascending pivot order, and all of them skip
+// the same exactly-zero multipliers, the blocked factor is bitwise-identical
+// to the classic unblocked loop (block = 1) and to itself at any
+// IND_THREADS for a fixed block size. The skip changes no nonzero bit of
+// the non-skipping elimination; a zero entry can differ from it only in
+// sign, and only for an input that holds -0. float / complex<float>
 // instantiations back the mixed-precision refinement path (la/refine.hpp).
 #pragma once
 

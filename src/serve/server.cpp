@@ -254,7 +254,7 @@ void Server::start() {
   }
 
   running_.store(true);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   const std::size_t lanes = pool_ ? config_.workers : 1;
   for (std::size_t i = 0; i < lanes; ++i)
     executor_threads_.emplace_back([this] { executor_loop(); });
@@ -262,12 +262,12 @@ void Server::start() {
     watchdog_thread_ = std::thread([this] { watchdog_loop(); });
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed (shutdown) or fatal error
+      break;  // listener shut down (shutdown()) or fatal error
     }
     if (stopping_.load()) {
       ::close(fd);
@@ -852,13 +852,14 @@ void Server::shutdown() {
     return;
   }
 
-  // 1. Stop accepting connections.
+  // 1. Stop accepting connections: shutting the listener down wakes the
+  //    blocked accept(); the fd is closed only once the loop has exited.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (!config_.uds_path.empty()) ::unlink(config_.uds_path.c_str());
 
   // Stop the watchdog before draining: the drain is progress by definition,

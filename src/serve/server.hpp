@@ -187,7 +187,9 @@ class Server {
   struct InFlight;
   using FlightPtr = std::shared_ptr<InFlight>;
 
-  void accept_loop();
+  /// Accepts on `listen_fd` (passed by value: shutdown() owns listen_fd_
+  /// and closes it only after this loop has been joined).
+  void accept_loop(int listen_fd);
   void connection_loop(std::shared_ptr<Connection> conn);
   /// Handshake + frame loop; early returns are fine — connection_loop runs
   /// the disconnect/retire cleanup on every exit path.

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "govern/budget.hpp"
 #include "la/amd.hpp"
@@ -577,6 +580,199 @@ TEST(LuBlocked, BlockedMatchesUnblockedBitwiseAtAnyThreads) {
       EXPECT_TRUE(f.packed() == ref.packed());
     }
   }
+}
+
+// --- structural zero-skipping -------------------------------------------
+
+// True when the two matrices hold the same bytes (unlike operator==, this
+// tells +0 from -0).
+template <typename T>
+bool bitwise_equal(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(T)) ==
+             0;
+}
+
+// Component by component (real and imaginary parts for complex T): the same
+// bits, or both an exactly-zero value of either sign.
+template <typename T>
+bool equal_up_to_zero_sign(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  const std::size_t count = a.rows() * a.cols() * sizeof(T) / sizeof(double);
+  const auto* x = reinterpret_cast<const double*>(a.data());
+  const auto* y = reinterpret_cast<const double*>(b.data());
+  for (std::size_t i = 0; i < count; ++i) {
+    if (std::memcmp(&x[i], &y[i], sizeof(double)) == 0) continue;
+    if (x[i] != 0.0 || y[i] != 0.0) return false;
+  }
+  return true;
+}
+
+template <typename T>
+std::size_t zero_count(const DenseMatrix<T>& a) {
+  std::size_t zeros = 0;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j) zeros += a(i, j) == T{};
+  return zeros;
+}
+
+// Dense MQS saddle system in the loop solver's layout: KCL rows first
+// (+-1 incidence of the filaments at each node, a unit pin on each wire's
+// first node), then one branch row per filament holding its incidence and
+// -(R + jwL). Wires are chains of filaments, so an inner node's KCL row has
+// exactly two entries; alternate wires run in x and y, and orthogonal
+// filaments have an exactly-zero mutual term. For real T the reactive
+// parts join Z as real numbers (a real system of the same shape).
+template <typename T>
+DenseMatrix<T> mqs_saddle(std::size_t wires, std::size_t segments) {
+  const std::size_t per_wire = segments + 1;
+  const std::size_t nodes = wires * per_wire;
+  const std::size_t nf = wires * segments;
+  DenseMatrix<T> a(nodes + nf, nodes + nf);
+  T jw(1.0);
+  if constexpr (std::is_same_v<T, Complex>) jw = Complex{0.0, 1.0};
+  for (std::size_t w = 0; w < wires; ++w) {
+    a(w * per_wire, w * per_wire) += T(1.0);
+    for (std::size_t s = 0; s < segments; ++s) {
+      const std::size_t k = w * segments + s;
+      const std::size_t na = w * per_wire + s;
+      const std::size_t nb = na + 1;
+      const std::size_t br = nodes + k;
+      a(na, br) += T(1.0);
+      a(nb, br) -= T(1.0);
+      a(br, na) += T(1.0);
+      a(br, nb) -= T(1.0);
+      a(br, br) -= T(0.1 + 0.01 * static_cast<double>(k % 5)) +
+                   jw * T(2.0 + 0.1 * static_cast<double>(k % 3));
+      for (std::size_t w2 = w % 2; w2 < wires; w2 += 2) {  // parallel wires
+        for (std::size_t s2 = 0; s2 < segments; ++s2) {
+          const std::size_t m = w2 * segments + s2;
+          if (m == k) continue;
+          const double dist = static_cast<double>(
+              (w > w2 ? w - w2 : w2 - w) + (s > s2 ? s - s2 : s2 - s));
+          a(br, nodes + m) -= jw * T(0.8 / (1.0 + dist));
+        }
+      }
+    }
+  }
+  return a;
+}
+
+// Sparse random real matrix (about 3/4 exact zeros) with no diagonal
+// preference, so partial pivoting swaps rows throughout.
+Matrix zero_rich_random(std::size_t n, std::uint64_t seed) {
+  Matrix a(n, n);
+  std::uint64_t s = seed;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+      if ((s >> 60) >= 4) continue;  // 12 of 16 entries stay zero
+      a(i, j) = static_cast<double>(s >> 11) /
+                    static_cast<double>(1ULL << 53) -
+                0.5;
+    }
+  for (std::size_t i = 0; i < n; ++i) a(i, (i * 7 + 3) % n) += 1.0;
+  return a;
+}
+
+// The classic unblocked right-looking elimination with no zero-skip: every
+// rank-1 update is applied, zero multipliers included. The reference the
+// skipping factor must reproduce.
+template <typename T>
+std::pair<DenseMatrix<T>, std::vector<std::size_t>> classic_lu(
+    DenseMatrix<T> a) {
+  const std::size_t n = a.rows();
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t pivot = k;
+    double best = std::abs(a(k, k));
+    for (std::size_t i = k + 1; i < n; ++i)
+      if (std::abs(a(i, k)) > best) {
+        best = std::abs(a(i, k));
+        pivot = i;
+      }
+    if (pivot != k) {
+      for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(pivot, j));
+      std::swap(perm[k], perm[pivot]);
+    }
+    const T diag = a(k, k);
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const T factor = a(i, k) / diag;
+      a(i, k) = factor;
+      for (std::size_t j = k + 1; j < n; ++j) a(i, j) -= factor * a(k, j);
+    }
+  }
+  return {std::move(a), std::move(perm)};
+}
+
+// Rewrites every third exactly-zero entry as -0 (for complex, alternately
+// (-0, -0) and (-0, +0)).
+template <typename T>
+DenseMatrix<T> with_negative_zeros(DenseMatrix<T> a) {
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (!(a(i, j) == T{}) || seen++ % 3 != 0) continue;
+      if constexpr (std::is_same_v<T, Complex>)
+        a(i, j) = seen % 2 ? Complex{-0.0, -0.0} : Complex{-0.0, 0.0};
+      else
+        a(i, j) = -0.0;
+    }
+  return a;
+}
+
+TEST(LuZeroSkip, MqsSaddleBlockedMatchesUnblockedBitwiseAtAnyThreads) {
+  const CMatrix a = mqs_saddle<Complex>(8, 8);  // 136 unknowns
+  ASSERT_GT(zero_count(a) * 4, a.rows() * a.cols() * 3);  // > 75% zeros
+  const CLU ref(a, LuOptions{.block = 1});
+  ThreadsGuard guard;
+  for (const unsigned threads : {1u, 4u}) {
+    ind::runtime::set_global_threads(threads);
+    for (const std::size_t blk : {std::size_t{8}, std::size_t{48},
+                                  std::size_t{0} /* env default */}) {
+      const CLU f(a, LuOptions{.block = blk});
+      EXPECT_EQ(f.perm(), ref.perm());
+      EXPECT_TRUE(bitwise_equal(f.packed(), ref.packed()))
+          << "threads=" << threads << " block=" << blk;
+    }
+  }
+}
+
+TEST(LuZeroSkip, MatchesNonSkippingEliminationBitwise) {
+  const Matrix real_saddle = mqs_saddle<double>(6, 8);
+  const Matrix real_random = zero_rich_random(120, 3);
+  const CMatrix complex_saddle = mqs_saddle<Complex>(8, 8);
+  for (const Matrix* a : {&real_saddle, &real_random}) {
+    const auto [lu, perm] = classic_lu(*a);
+    const LU f(*a);
+    EXPECT_EQ(f.perm(), perm);
+    EXPECT_TRUE(bitwise_equal(f.packed(), lu));
+  }
+  const auto [lu, perm] = classic_lu(complex_saddle);
+  const CLU f(complex_saddle);
+  EXPECT_EQ(f.perm(), perm);
+  EXPECT_TRUE(bitwise_equal(f.packed(), lu));
+}
+
+TEST(LuZeroSkip, NegativeZeroInputsDifferOnlyInZeroSign) {
+  const Matrix real = with_negative_zeros(zero_rich_random(120, 3));
+  const CMatrix cplx = with_negative_zeros(mqs_saddle<Complex>(8, 8));
+  {
+    const auto [lu, perm] = classic_lu(real);
+    const LU f(real);
+    EXPECT_EQ(f.perm(), perm);
+    EXPECT_TRUE(equal_up_to_zero_sign(f.packed(), lu));
+    // Skipping is still decided per (i, k): blocked == unblocked, bitwise.
+    EXPECT_TRUE(
+        bitwise_equal(f.packed(), LU(real, LuOptions{.block = 1}).packed()));
+  }
+  const auto [lu, perm] = classic_lu(cplx);
+  const CLU f(cplx);
+  EXPECT_EQ(f.perm(), perm);
+  EXPECT_TRUE(equal_up_to_zero_sign(f.packed(), lu));
+  EXPECT_TRUE(
+      bitwise_equal(f.packed(), CLU(cplx, LuOptions{.block = 1}).packed()));
 }
 
 TEST(Lu, MatrixRhsValidatesShapeUpFront) {
