@@ -12,7 +12,10 @@ namespace ind::circuit {
 namespace {
 
 std::string node_name(NodeId n) {
-  return n < 0 ? "0" : "n" + std::to_string(n);
+  if (n < 0) return "0";
+  std::string name = "n";
+  name += std::to_string(n);
+  return name;
 }
 
 void write_pwl(std::ostream& os, const Pwl& w) {

@@ -12,8 +12,7 @@
 // to the classic unblocked loop (block = 1) and to itself at any
 // IND_THREADS for a fixed block size. The skip changes no nonzero bit of
 // the non-skipping elimination; a zero entry can differ from it only in
-// sign, and only for an input that holds -0. float / complex<float>
-// instantiations back the mixed-precision refinement path (la/refine.hpp).
+// sign, and only for an input that holds -0.
 #pragma once
 
 #include <complex>
@@ -34,8 +33,8 @@ class SingularMatrixError : public std::runtime_error {
 /// bits at any thread count, and every block size is bitwise-identical to
 /// the unblocked elimination (block = 1) by the kernel ordering contract.
 struct LuOptions {
-  /// Panel width. 0 resolves to the IND_LU_BLOCK env knob (default 48,
-  /// clamped to [1, 512]); 1 degenerates to the classic unblocked loop.
+  /// Panel width. 0 resolves to the fixed default of 48 (explicit widths
+  /// clamp to 512); 1 degenerates to the classic unblocked loop.
   std::size_t block = 0;
 };
 
@@ -94,9 +93,6 @@ class LuFactor {
 
 using LU = LuFactor<double>;
 using CLU = LuFactor<Complex>;
-// Single-precision factors of the mixed-precision refinement path.
-using FLU = LuFactor<float>;
-using CFLU = LuFactor<std::complex<float>>;
 
 /// Convenience: solve A x = b with a one-shot factorisation.
 Vector solve(Matrix a, const Vector& b);

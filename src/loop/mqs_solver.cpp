@@ -236,19 +236,7 @@ LoopImpedance MqsSolver::port_impedance_dense(std::size_t plus,
   la::CVector b(size, la::Complex{});
   b[static_cast<std::size_t>(compact[p])] = 1.0;  // 1 A into the plus node
 
-  la::CVector x;
-  if (opts_.mixed_precision && size >= opts_.mixed_min_unknowns) {
-    // Large systems: f32 blocked factor + f64 refinement, with a recorded
-    // deterministic fallback to the full-double ladder when the f32 factor
-    // is too ill-conditioned or refinement stalls.
-    robust::SolveReport report;
-    x = robust::solve_dense_mixed_with_recovery(a, b, report, "mqs_dense");
-    report.record("mqs_dense");
-    if (report.failed() || x.empty())
-      throw la::SingularMatrixError("mqs_dense: " + report.detail);
-  } else {
-    x = la::CLU(std::move(a)).solve(b);
-  }
+  const la::CVector x = la::CLU(std::move(a)).solve(b);
   const la::Complex z = x[static_cast<std::size_t>(compact[p])];
   return {frequency, z.real(), z.imag() / omega};
 }

@@ -63,17 +63,6 @@ struct MqsOptions {
   double snap = 1e-9;          ///< node coordinate snapping
   ExtractionMethod method = ExtractionMethod::Dense;
   FastSolveOptions fast{};
-  /// Dense path: solve with a complex<float> blocked factor + complex<double>
-  /// iterative refinement (robust::solve_dense_mixed_with_recovery) once the
-  /// system reaches mixed_min_unknowns. Ill-conditioned systems fall back to
-  /// the full-double ladder deterministically. Off by default: unlike the
-  /// real-valued kernels (where the f32 factor measures ~1.5x faster than the
-  /// f64 one, see bench_kernels), std::complex arithmetic vectorises poorly
-  /// enough under the no-FMA contract that the complex<float> factor does not
-  /// beat complex<double> on current compilers — opt in only if your target
-  /// measures otherwise.
-  bool mixed_precision = false;
-  std::size_t mixed_min_unknowns = 512;
 };
 
 /// Loop impedance decomposed at one frequency.

@@ -31,13 +31,7 @@ constexpr struct {
     {core::Flow::LoopRlc, "loop_rlc"},
 };
 
-template <typename Enum>
-Enum checked_enum(std::uint8_t raw, std::uint8_t max, const char* what) {
-  if (raw > max)
-    throw std::invalid_argument(std::string("serve: out-of-range ") + what +
-                                " value " + std::to_string(raw));
-  return static_cast<Enum>(raw);
-}
+using store::checked_enum;
 
 void put_options(store::ByteWriter& w, const core::AnalysisOptions& o) {
   w.u8(static_cast<std::uint8_t>(o.flow));
@@ -330,6 +324,18 @@ std::vector<std::uint8_t> encode_result(const core::AnalysisReport& report,
     put_strings(w, report.sink_names);
   }
   return w.take();
+}
+
+bool result_degraded(const std::vector<std::uint8_t>& bytes) {
+  try {
+    store::ByteReader r(bytes);
+    r.u16();  // codec version
+    r.u8();   // flow
+    r.u8();   // requested_flow
+    return r.u64() != 0;  // degradation count
+  } catch (const store::StoreError&) {
+    return false;
+  }
 }
 
 void decode_result(const std::vector<std::uint8_t>& bytes,

@@ -82,8 +82,8 @@ void put_request(store::ByteWriter& w, const Request& req);
 /// of the dispatched bytes.
 void put_request(store::ByteWriter& w, const Request& req,
                  const govern::RunBudget& effective_budget);
-/// Throws store::StoreError on truncated/malformed input and
-/// std::invalid_argument on out-of-range enum values.
+/// Throws store::StoreError on truncated/malformed input (out-of-range enum
+/// values included) and std::invalid_argument on a codec version mismatch.
 void get_request(store::ByteReader& r, Request& req);
 
 /// Encodes the RESULT block of a finished analysis (see header comment for
@@ -92,6 +92,9 @@ std::vector<std::uint8_t> encode_result(const core::AnalysisReport& report,
                                         bool include_waveforms);
 void decode_result(const std::vector<std::uint8_t>& bytes,
                    core::AnalysisReport& report);
+/// True when a RESULT block records a fidelity degradation; reads only the
+/// block's head. False for bytes too short to hold one.
+bool result_degraded(const std::vector<std::uint8_t>& bytes);
 
 /// Full AnalyzeResponse payload: request id + stats block + result block.
 std::vector<std::uint8_t> encode_response_payload(

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "store/format.hpp"
@@ -42,14 +43,28 @@ std::size_t read_exact(int fd, void* buf, std::size_t n) {
   return got;
 }
 
-bool write_exact(int fd, const void* buf, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  std::size_t sent = 0;
-  while (sent < n) {
+/// Sends every byte of `iov[0..iovcnt)` as one message per sendmsg, so a
+/// frame's header never leaves in a segment of its own (over TCP, Nagle plus
+/// the peer's delayed ACK would hold the payload back ~40 ms). Partial sends
+/// resume where the kernel stopped.
+bool write_all(int fd, iovec* iov, std::size_t iovcnt) {
+  while (iovcnt > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iovcnt;
     // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
-    const ssize_t r = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (r >= 0) {
-      sent += static_cast<std::size_t>(r);
+      auto sent = static_cast<std::size_t>(r);
+      while (iovcnt > 0 && sent >= iov->iov_len) {
+        sent -= iov->iov_len;
+        ++iov;
+        --iovcnt;
+      }
+      if (iovcnt > 0) {
+        iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + sent;
+        iov->iov_len -= sent;
+      }
       continue;
     }
     if (errno == EINTR) continue;
@@ -116,11 +131,11 @@ bool write_frame(int fd, const Frame& frame) {
   const auto len = static_cast<std::uint32_t>(frame.payload.size());
   std::memcpy(header, &len, sizeof len);
   header[4] = static_cast<std::uint8_t>(frame.type);
-  if (!write_exact(fd, header, sizeof header)) return false;
-  if (!frame.payload.empty() &&
-      !write_exact(fd, frame.payload.data(), frame.payload.size()))
-    return false;
-  return true;
+  iovec iov[2] = {
+      {header, sizeof header},
+      {const_cast<std::uint8_t*>(frame.payload.data()), frame.payload.size()},
+  };
+  return write_all(fd, iov, frame.payload.empty() ? 1 : 2);
 }
 
 Frame make_hello() {

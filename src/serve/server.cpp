@@ -16,10 +16,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/analyzer.hpp"
 #include "govern/env.hpp"
 #include "robust/fault_injection.hpp"
 #include "runtime/metrics.hpp"
+#include "serve/compute.hpp"
 #include "store/artifact_cache.hpp"
 #include "store/serde.hpp"
 
@@ -648,93 +648,39 @@ govern::RunBudget Server::effective_budget(
 
 void Server::execute(const FlightPtr& flight) {
   const auto started = Clock::now();
-  ErrorCode failure = ErrorCode::None;
-  std::string failure_detail;
-  std::vector<std::uint8_t> result_bytes;
-  double build_seconds = 0.0, solve_seconds = 0.0;
-
-  if (pool_) {
-    // Worker lane: the flight runs in a sandboxed process; crashes come back
-    // as classified outcomes (retried once on a sibling, quarantined past
-    // the poison threshold), never as a server death.
+  const govern::RunBudget budget = effective_budget(flight->request.budget);
+  // One compute path for both lane kinds: a worker lane runs
+  // compute_request in a sandboxed process (crashes come back classified,
+  // retried once on a sibling, quarantined past the poison threshold), the
+  // in-process lane runs it here.
+  ComputeOutcome outcome;
+  try {
     runtime::ScopedTimer timer("serve.execute");
-    WorkerPool::Outcome outcome;
-    try {
-      outcome = pool_->run(flight->fp, flight->request,
-                           effective_budget(flight->request.budget));
-    } catch (const std::exception& e) {
-      // Defensive: nothing in run() should escape, but an exception here
-      // would fly out of executor_loop's std::thread and std::terminate the
-      // whole server — exactly what worker isolation exists to prevent.
-      outcome.ok = false;
-      outcome.code = ErrorCode::Internal;
-      outcome.detail = std::string("worker pool dispatch failed: ") + e.what();
-    }
-    if (outcome.ok) {
-      result_bytes = std::move(outcome.result_bytes);
-      build_seconds = outcome.build_seconds;
-      solve_seconds = outcome.solve_seconds;
+    outcome = pool_ ? pool_->run(flight->fp, flight->request, budget)
+                    : compute_request(flight->request, budget);
+  } catch (const std::exception& e) {
+    // std::bad_alloc in the in-process lane, or a defensive catch for the
+    // pool: an exception escaping here would fly out of executor_loop's
+    // std::thread and std::terminate the whole server.
+    outcome.code = ErrorCode::Internal;
+    outcome.detail = e.what();
+  }
+  switch (outcome.code) {
+    case ErrorCode::None:
       count("serve.computed");
-      try {
-        core::AnalysisReport report;
-        decode_result(result_bytes, report);
-        if (!report.degradations.empty()) count("serve.degraded_responses");
-      } catch (const std::exception&) {
-        // Counter parity only; the verbatim result bytes still serve.
-      }
-    } else {
-      failure = outcome.code;
-      failure_detail = outcome.detail;
-      switch (outcome.code) {
-        case ErrorCode::DeadlineExceeded: count("serve.deadline_trips"); break;
-        case ErrorCode::BadRequest: count("serve.bad_requests"); break;
-        case ErrorCode::ShuttingDown: count("serve.cancelled_runs"); break;
-        case ErrorCode::PoisonedRequest:
-          count("serve.worker.poisoned_replies");
-          break;
-        case ErrorCode::WorkerCrashed:
-          count("serve.worker.crashed_replies");
-          break;
-        default: count("serve.internal_errors"); break;
-      }
-    }
-  } else {
-    auto& gov = govern::Governor::instance();
-    gov.configure(effective_budget(flight->request.budget));
-
-    core::AnalysisReport report;
-    try {
-      runtime::ScopedTimer timer("serve.execute");
-      report = core::analyze(flight->request.layout, flight->request.options);
-    } catch (const govern::CancelledError& e) {
-      if (e.kind() == govern::BudgetKind::External) {
-        // Disconnect- or shutdown-triggered cancellation. With no waiters
-        // there is nobody to answer; during a drain the remaining waiters get
-        // a structured ShuttingDown.
-        failure = ErrorCode::ShuttingDown;
-        count("serve.cancelled_runs");
-      } else {
-        failure = ErrorCode::DeadlineExceeded;
-        count("serve.deadline_trips");
-      }
-      failure_detail = e.what();
-    } catch (const std::invalid_argument& e) {
-      failure = ErrorCode::BadRequest;
-      failure_detail = e.what();
-      count("serve.bad_requests");
-    } catch (const std::exception& e) {
-      failure = ErrorCode::Internal;
-      failure_detail = e.what();
-      count("serve.internal_errors");
-    }
-
-    if (failure == ErrorCode::None) {
-      result_bytes = encode_result(report, flight->request.include_waveforms);
-      build_seconds = report.build_seconds;
-      solve_seconds = report.solve_seconds;
-      count("serve.computed");
-      if (!report.degradations.empty()) count("serve.degraded_responses");
-    }
+      if (result_degraded(outcome.result_bytes))
+        count("serve.degraded_responses");
+      break;
+    case ErrorCode::DeadlineExceeded: count("serve.deadline_trips"); break;
+    case ErrorCode::BadRequest: count("serve.bad_requests"); break;
+    case ErrorCode::ShuttingDown: count("serve.cancelled_runs"); break;
+    case ErrorCode::PoisonedRequest:
+      count("serve.worker.poisoned_replies");
+      break;
+    case ErrorCode::WorkerCrashed:
+      count("serve.worker.crashed_replies");
+      break;
+    default: count("serve.internal_errors"); break;
   }
 
   std::vector<InFlight::Waiter> waiters;
@@ -743,13 +689,14 @@ void Server::execute(const FlightPtr& flight) {
     inflight_.erase(flight->key);
     waiters = std::move(flight->waiters);
     flight->waiters.clear();
-    if (failure == ErrorCode::None)
-      cache_store(flight->fp, result_bytes, build_seconds, solve_seconds);
+    if (outcome.code == ErrorCode::None)
+      cache_store(flight->fp, outcome.result_bytes, outcome.build_seconds,
+                  outcome.solve_seconds);
   }
 
   for (const InFlight::Waiter& w : waiters) {
-    if (failure != ErrorCode::None) {
-      w.conn->send(make_error(w.request_id, failure, failure_detail));
+    if (outcome.code != ErrorCode::None) {
+      w.conn->send(make_error(w.request_id, outcome.code, outcome.detail));
       continue;
     }
     const double queue_s =
@@ -760,7 +707,8 @@ void Server::execute(const FlightPtr& flight) {
         w.request_id,
         w.initiator ? Response::ServedBy::Computed
                     : Response::ServedBy::Coalesced,
-        build_seconds, solve_seconds, std::max(queue_s, 0.0), result_bytes);
+        outcome.build_seconds, outcome.solve_seconds, std::max(queue_s, 0.0),
+        outcome.result_bytes);
     if (w.conn->send(f)) count("serve.responses");
   }
 }

@@ -228,11 +228,10 @@ int WorkerPool::acquire_idle_slot() {
   }
 }
 
-WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
-                                    const Request& req,
-                                    const govern::RunBudget& effective) {
+ComputeOutcome WorkerPool::run(const store::Digest& fp, const Request& req,
+                               const govern::RunBudget& effective) {
   const std::string key = fp.hex();
-  Outcome out;
+  ComputeOutcome out;
   {
     std::unique_lock lock(mutex_);
     if (quarantine_.count(key)) {
@@ -258,8 +257,11 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
   // fails because the worker was already dead consumes neither the retry nor
   // the fingerprint's kill budget. `spins` bounds the worst case where every
   // acquired worker turns out dead at dispatch time.
+  int attempts = 0;
   int spins = 0;
-  while (out.attempts < 2 && spins < 64) {
+  // Worst death observed while serving this flight.
+  robust::CrashKind crash = robust::CrashKind::None;
+  while (attempts < 2 && spins < 64) {
     ++spins;
     const int slot = acquire_idle_slot();
     if (slot < 0) {
@@ -286,7 +288,7 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
       delivered = false;
     }
     if (delivered) {
-      ++out.attempts;
+      ++attempts;
       count("serve.worker.dispatches");
       // Deterministic chaos hook: the Nth dispatch kills its worker, so
       // "worker_exec@0" crashes exactly the first attempt and the sibling
@@ -329,8 +331,6 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
           out.detail = std::string("worker reply undecodable: ") + e.what();
           return out;
         }
-        out.ok = true;
-        out.code = ErrorCode::None;
         out.build_seconds = resp.build_seconds;
         out.solve_seconds = resp.solve_seconds;
         out.result_bytes = std::move(resp.result_bytes);
@@ -339,7 +339,6 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
       lock.unlock();
       // Structured Error frame: the worker is alive and the failure is
       // deterministic (bad request, budget trip, ...) — no retry.
-      out.crash = robust::CrashKind::CleanError;
       try {
         const ErrorInfo info = decode_error(reply->payload);
         out.code = info.code;
@@ -364,7 +363,7 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
     int wstatus = 0;
     if (pid > 0) ::waitpid(pid, &wstatus, 0);
     const robust::CrashKind kind = classify_worker_exit(wstatus);
-    if (static_cast<int>(kind) > static_cast<int>(out.crash)) out.crash = kind;
+    if (static_cast<int>(kind) > static_cast<int>(crash)) crash = kind;
 
     std::unique_lock lock(mutex_);
     Worker& slot_ref = slots_[static_cast<std::size_t>(slot)];
@@ -397,7 +396,7 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
                      "); quarantined";
         return out;
       }
-      if (out.attempts < 2) {
+      if (attempts < 2) {
         ++crash_retries_;
         count("serve.worker.retries");
       }
@@ -405,7 +404,7 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
   }
 
   out.code = ErrorCode::WorkerCrashed;
-  out.detail = std::string("worker died (") + to_string(out.crash) +
+  out.detail = std::string("worker died (") + to_string(crash) +
                ") and the sibling retry also failed";
   return out;
 }

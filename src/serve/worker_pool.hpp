@@ -45,6 +45,7 @@
 #include "govern/budget.hpp"
 #include "robust/diagnostics.hpp"
 #include "serve/codec.hpp"
+#include "serve/compute.hpp"
 #include "serve/health.hpp"
 #include "serve/protocol.hpp"
 #include "store/hash.hpp"
@@ -80,20 +81,6 @@ class WorkerPool {
     int fault_signal = 11;
   };
 
-  /// Result of running one flight through the pool.
-  struct Outcome {
-    bool ok = false;
-    ErrorCode code = ErrorCode::None;  ///< set when !ok
-    std::string detail;
-    /// Worst death observed while serving this flight (None = no crash,
-    /// CleanError = the worker answered a structured Error frame).
-    robust::CrashKind crash = robust::CrashKind::None;
-    int attempts = 0;  ///< dispatches that reached a worker
-    double build_seconds = 0.0;
-    double solve_seconds = 0.0;
-    std::vector<std::uint8_t> result_bytes;
-  };
-
   explicit WorkerPool(Config config);
   ~WorkerPool();
 
@@ -111,9 +98,10 @@ class WorkerPool {
   /// Runs one flight on an idle worker (blocking until one is free),
   /// handling crash classification, the single sibling retry and poison
   /// quarantine. `fp` is the flight's effective-budget fingerprint;
-  /// `effective` replaces req.budget in the dispatched bytes.
-  Outcome run(const store::Digest& fp, const Request& req,
-              const govern::RunBudget& effective);
+  /// `effective` replaces req.budget in the dispatched bytes. A worker that
+  /// answers returns what its compute_request returned (serve/compute.hpp).
+  ComputeOutcome run(const store::Digest& fp, const Request& req,
+                     const govern::RunBudget& effective);
 
   /// True when `fp` is quarantined — the server's admission path answers
   /// PoisonedRequest without queueing.

@@ -70,13 +70,13 @@ class StoreError : public std::runtime_error {
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i32(std::int32_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
+  void u16(std::uint16_t v) { scalar(v); }
+  void u32(std::uint32_t v) { scalar(v); }
+  void u64(std::uint64_t v) { scalar(v); }
+  void i32(std::int32_t v) { scalar(v); }
+  void i64(std::int64_t v) { scalar(v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
-  void f64(double v) { raw(&v, sizeof v); }
+  void f64(double v) { scalar(v); }
   void str(const std::string& s) {
     u64(s.size());
     raw(s.data(), s.size());
@@ -96,6 +96,15 @@ class ByteWriter {
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  // Byte-wise appends: a ranged insert of a few bytes into a still-empty
+  // buffer trips gcc 12's -Wstringop-overflow false positive.
+  template <typename T>
+  void scalar(T v) {
+    std::uint8_t b[sizeof v];
+    std::memcpy(b, &v, sizeof v);
+    for (std::uint8_t x : b) buf_.push_back(x);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -143,6 +152,7 @@ class ByteReader {
 
   /// Bulk extract; throws Truncated past the end like every other getter.
   void raw(void* out, std::size_t n) {
+    if (n == 0) return;  // an empty section may have null data: no memcpy
     if (n > remaining())
       throw StoreError(StoreErrc::Truncated, "read past end of section");
     std::memcpy(out, data_ + pos_, n);
@@ -154,6 +164,19 @@ class ByteReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
+
+/// Validates a decoded enum byte against the enum's last enumerator `max`:
+/// an out-of-range byte throws StoreError(Malformed) instead of becoming a
+/// value no switch handles. Every decoder (store/serde, store/flows,
+/// serve/codec) reads its enums through this.
+template <typename Enum>
+Enum checked_enum(std::uint8_t raw, std::uint8_t max, const char* what) {
+  if (raw > max)
+    throw StoreError(StoreErrc::Malformed, std::string("out-of-range ") +
+                                               what + " value " +
+                                               std::to_string(raw));
+  return static_cast<Enum>(raw);
+}
 
 /// An artifact in memory: a kind tag, the fingerprint it was stored under,
 /// and named byte sections (one per serialized sub-object).

@@ -527,8 +527,9 @@ TEST(GovernRlimit, ApplyAndRelaxSoftLimitsRoundTrip) {
   EXPECT_TRUE(govern::apply_worker_rlimits(limits));
   rlimit lowered{};
   ASSERT_EQ(getrlimit(RLIMIT_AS, &lowered), 0);
-  if (before.rlim_max == RLIM_INFINITY || before.rlim_max > (8ull << 30))
+  if (before.rlim_max == RLIM_INFINITY || before.rlim_max > (8ull << 30)) {
     EXPECT_EQ(lowered.rlim_cur, static_cast<rlim_t>(8ull << 30));
+  }
 
   govern::relax_worker_rlimits();
   rlimit relaxed{};

@@ -138,7 +138,7 @@ TEST_F(ServeTest, RequestDecodeRejectsOutOfRangeEnum) {
                  image.end());
   serve::Request back;
   store::ByteReader r(corrupt);
-  EXPECT_THROW(serve::get_request(r, back), std::invalid_argument);
+  EXPECT_THROW(serve::get_request(r, back), store::StoreError);
 }
 
 TEST_F(ServeTest, ResultBlockRoundTripsWithWaveforms) {
@@ -489,6 +489,7 @@ TEST_F(ServeTest, DisconnectedClientsRequestIsAbandoned) {
   const std::int64_t requests0 = counter("serve.requests");
   const std::int64_t abandoned0 = counter("serve.abandoned");
   const std::int64_t computed0 = counter("serve.computed");
+  const std::int64_t disconnects0 = counter("serve.disconnects");
   {
     serve::Client doomed;
     doomed.connect_tcp("127.0.0.1", server.port());
@@ -496,6 +497,10 @@ TEST_F(ServeTest, DisconnectedClientsRequestIsAbandoned) {
     ASSERT_TRUE(
         eventually([&] { return counter("serve.requests") == requests0 + 1; }));
   }  // disconnect while the executor is held at the gate
+  // The reader drops the waiter before it counts the disconnect; open the
+  // gate only then, or the executor can still see the waiter and compute.
+  ASSERT_TRUE(eventually(
+      [&] { return counter("serve.disconnects") == disconnects0 + 1; }));
 
   gate.release();
   ASSERT_TRUE(
@@ -774,26 +779,52 @@ TEST(WorkerExitClassification, MapsWaitStatusToCrashKind) {
   EXPECT_STREQ(robust::to_string(CrashKind::Signal), "signal");
 }
 
+serve::ErrorCode analyze_error_code(serve::Server& server,
+                                    const serve::Request& req) {
+  serve::Client client;
+  client.connect_tcp("127.0.0.1", server.port());
+  const serve::Reply reply = client.analyze(1, req);
+  EXPECT_FALSE(reply.ok);
+  return reply.error.code;
+}
+
 TEST_F(ServeTest, WorkerModeResultsBitwiseIdenticalToInProcess) {
   const serve::Request req = grid_request();
-  std::vector<std::uint8_t> inproc, worker;
-  {
-    serve::Server server(serve::ServerConfig{});
+  // A request analyze rejects (LoopRlc without a signal net) and one whose
+  // 50-unit work budget trips on every fidelity rung.
+  serve::Request bad = grid_request(240.0);
+  bad.options.flow = core::Flow::LoopRlc;
+  bad.options.signal_net = -1;
+  serve::Request starved = grid_request(260.0);
+  starved.budget.work_units = 50;
+
+  struct Answers {
+    std::vector<std::uint8_t> result;
+    std::vector<serve::ErrorCode> codes;
+  };
+  const auto answers = [&](const serve::ServerConfig& config) {
+    serve::Server server(config);
     server.start();
-    inproc = analyze_result_bytes(server, req);
+    Answers a;
+    a.result = analyze_result_bytes(server, req);
+    a.codes = {analyze_error_code(server, bad),
+               analyze_error_code(server, starved)};
     server.shutdown();
-  }
-  {
-    serve::Server server(worker_config(2));
-    server.start();
-    worker = analyze_result_bytes(server, req);
-    server.shutdown();
-  }
-  ASSERT_FALSE(inproc.empty());
+    return a;
+  };
+  const Answers inproc = answers(serve::ServerConfig{});
+  const Answers worker = answers(worker_config(2));
+  ASSERT_FALSE(inproc.result.empty());
   // The serde round-trip oracle: the worker ran the same deterministic
   // kernels from the same dispatched bytes, so the RESULT block must be
   // bitwise identical to the in-process path.
-  EXPECT_EQ(worker, inproc);
+  EXPECT_EQ(worker.result, inproc.result);
+  // Both lane kinds run serve::compute_request, so failures map to the same
+  // structured codes.
+  const std::vector<serve::ErrorCode> expected = {
+      serve::ErrorCode::BadRequest, serve::ErrorCode::DeadlineExceeded};
+  EXPECT_EQ(inproc.codes, expected);
+  EXPECT_EQ(worker.codes, expected);
 }
 
 TEST_F(ServeTest, WorkerCrashMidFlightRetriesOnSiblingBitwise) {

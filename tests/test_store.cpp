@@ -231,6 +231,28 @@ TEST(StoreSerde, CscRejectsInconsistentArrays) {
   }
 }
 
+TEST(StoreSerde, OutOfRangeRecoveryKindIsMalformed) {
+  robust::SolveReport rep;
+  rep.add_action(robust::RecoveryKind::GmresRestart, 1, 2.0, "mqs_gmres");
+  store::ByteWriter w;
+  store::serde::put(w, rep);
+  std::vector<std::uint8_t> image = w.take();
+  // status u8, three f64 diagnostics, the u64 action count, then the first
+  // action's kind byte.
+  const std::size_t kind_at = 1 + 3 * sizeof(double) + sizeof(std::uint64_t);
+  ASSERT_EQ(image[kind_at],
+            static_cast<std::uint8_t>(robust::RecoveryKind::GmresRestart));
+  ++image[kind_at];  // one past the last enumerator
+  robust::SolveReport back;
+  store::ByteReader r(image);
+  try {
+    store::serde::get(r, back);
+    FAIL() << "expected StoreError";
+  } catch (const store::StoreError& e) {
+    EXPECT_EQ(e.code(), store::StoreErrc::Malformed);
+  }
+}
+
 TEST(StoreSerde, SparsifiedLBitwise) {
   const geom::Layout refined = geom::refine(small_layout(), um(50));
   const extract::Extraction x = extract::extract(refined, {});

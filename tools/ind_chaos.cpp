@@ -54,17 +54,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 enum class Mode { Clean, Delay, Torn, Reset, Stall };
 
-const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::Clean: return "clean";
-    case Mode::Delay: return "delay";
-    case Mode::Torn: return "torn";
-    case Mode::Reset: return "reset";
-    case Mode::Stall: return "stall";
-  }
-  return "?";
-}
-
 struct Plan {
   Mode mode = Mode::Clean;
   std::uint64_t budget = 0;    ///< bytes forwarded before the fault lands

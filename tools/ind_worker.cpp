@@ -8,11 +8,13 @@
 // core::analyze under the request's *effective* RunBudget — the supervisor
 // re-encodes the dispatched request with the budget already clamped by the
 // server caps — and writes back one AnalyzeResponse or Error frame per
-// request. Before each analysis the per-request RLIMIT_AS / RLIMIT_CPU soft
-// limits derived from that budget are applied (govern/rlimit.hpp) and
-// relaxed again afterwards, so a runaway allocation or wedged kernel kills
-// this process — classified by the supervisor via its exit status — instead
-// of the server.
+// request. The analysis is serve::compute_request, the function the
+// server's in-process lane runs, so both lane kinds answer the same
+// structured codes. Before each analysis the per-request RLIMIT_AS /
+// RLIMIT_CPU soft limits derived from that budget are applied
+// (govern/rlimit.hpp) and relaxed again afterwards, so a runaway allocation
+// or wedged kernel kills this process — classified by the supervisor via its
+// exit status — instead of the server.
 //
 // Exit protocol (what WorkerPool::classify_worker_exit reads):
 //   0                      clean shutdown: EOF on the job pipe (supervisor
@@ -29,10 +31,9 @@
 #include <string>
 #include <unistd.h>
 
-#include "core/analyzer.hpp"
-#include "govern/budget.hpp"
 #include "govern/rlimit.hpp"
 #include "serve/codec.hpp"
+#include "serve/compute.hpp"
 #include "serve/protocol.hpp"
 #include "store/format.hpp"
 
@@ -75,52 +76,25 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-/// Runs one decoded request. Exception classification mirrors the server's
-/// in-process executor exactly, so a worker-mode failure answers the same
-/// structured code the in-process path would have.
+/// Runs one decoded request through the same compute_request the server's
+/// in-process lane calls, inside the per-request rlimit sandbox.
 ind::serve::Frame serve_one(const Args& args, std::uint64_t job_id,
                             const ind::serve::Request& req) {
-  using ind::serve::ErrorCode;
-  auto& gov = ind::govern::Governor::instance();
-  gov.configure(req.budget);  // already the effective (cap-clamped) budget
-
-  const ind::govern::WorkerRlimits limits = ind::govern::worker_rlimits(
-      req.budget, args.as_slack_bytes, args.cpu_slack_s);
-  ind::govern::apply_worker_rlimits(limits);
-
-  ErrorCode failure = ErrorCode::None;
-  std::string detail;
-  ind::core::AnalysisReport report;
-  try {
-    report = ind::core::analyze(req.layout, req.options);
-  } catch (const std::bad_alloc&) {
-    // RLIMIT_AS tripped (or the box is truly out of memory): building a
-    // structured reply needs heap we may not have. Self-exit with the
-    // classified code; the supervisor answers the tenant.
-    _exit(ind::govern::kWorkerOomExitCode);
-  } catch (const ind::govern::CancelledError& e) {
-    failure = e.kind() == ind::govern::BudgetKind::External
-                  ? ErrorCode::ShuttingDown
-                  : ErrorCode::DeadlineExceeded;
-    detail = e.what();
-  } catch (const std::invalid_argument& e) {
-    failure = ErrorCode::BadRequest;
-    detail = e.what();
-  } catch (const std::exception& e) {
-    failure = ErrorCode::Internal;
-    detail = e.what();
-  }
+  ind::govern::apply_worker_rlimits(ind::govern::worker_rlimits(
+      req.budget, args.as_slack_bytes, args.cpu_slack_s));
+  // req.budget is already the effective (cap-clamped) budget. A
+  // std::bad_alloc propagates to main, which self-exits.
+  const ind::serve::ComputeOutcome out =
+      ind::serve::compute_request(req, req.budget);
   ind::govern::relax_worker_rlimits();
 
-  if (failure != ErrorCode::None)
-    return ind::serve::make_error(job_id, failure, detail);
-
+  if (out.code != ind::serve::ErrorCode::None)
+    return ind::serve::make_error(job_id, out.code, out.detail);
   ind::serve::Frame reply;
   reply.type = ind::serve::FrameType::AnalyzeResponse;
   reply.payload = ind::serve::encode_response_payload(
-      job_id, ind::serve::Response::ServedBy::Computed, report.build_seconds,
-      report.solve_seconds, 0.0,
-      ind::serve::encode_result(report, req.include_waveforms));
+      job_id, ind::serve::Response::ServedBy::Computed, out.build_seconds,
+      out.solve_seconds, 0.0, out.result_bytes);
   return reply;
 }
 
@@ -151,6 +125,9 @@ int main(int argc, char** argv) {
       ind::serve::get_request(r, req);
       reply = serve_one(args, job_id, req);
     } catch (const std::bad_alloc&) {
+      // RLIMIT_AS tripped (or the box is truly out of memory): building a
+      // structured reply needs heap we may not have. Self-exit with the
+      // classified code; the supervisor answers the tenant.
       _exit(ind::govern::kWorkerOomExitCode);
     } catch (const std::exception& e) {
       reply = ind::serve::make_error(job_id, ind::serve::ErrorCode::BadRequest,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression guard for BENCH_*.json files.
 
-Two complementary gates:
+Three complementary gates:
 
 1. Aggregate gate (positional `baseline`): compares the summed wall time of
    every guarded timer in a fresh bench report against a committed baseline
@@ -16,6 +16,11 @@ Two complementary gates:
    one stage (say fast.precond_factor) cannot hide behind an improvement in
    another. Re-learn after an intentional perf change with --learn, which
    rewrites the manifest entry from the current report and exits.
+
+3. Result gate (whenever a positional `baseline` is given): every
+   `result.*` counter (waveform hashes, delays and skews in integer fs) must
+   equal the baseline's exactly, with the same set of keys on both sides. A
+   faster run that changes a result is a regression, not a speedup.
 
 Guarded timers: factor.*, solve.* (including solve.mqs_port) and fast.*.
 
@@ -77,6 +82,27 @@ def govern_overhead_check(metrics, solver_ms, max_fraction):
 def load_report(path):
     with open(path) as f:
         return json.load(f)
+
+
+def result_counters(report):
+    counters = report.get("metrics", report).get("counters", {})
+    return {k: v for k, v in counters.items() if k.startswith("result.")}
+
+
+def result_gate(current_report, baseline_report):
+    """Fails unless every result.* counter equals the baseline's exactly."""
+    cur = result_counters(current_report)
+    base = result_counters(baseline_report)
+    mismatched = [k for k in sorted(set(cur) | set(base))
+                  if cur.get(k) != base.get(k)]
+    for k in mismatched:
+        print(f"  {k:40s} {cur.get(k)} (baseline {base.get(k)})")
+    if mismatched:
+        print(f"perf_guard: FAIL — {len(mismatched)} result.* counter(s) "
+              f"differ from the baseline", file=sys.stderr)
+        return 1
+    print(f"perf_guard: {len(cur)} result.* counters equal the baseline")
+    return 0
 
 
 def serve_gate(current_report, baseline_report, max_ratio):
@@ -345,6 +371,8 @@ def main():
         return 0
 
     baseline_report = load_report(args.baseline)
+    if result_gate(current_report, baseline_report):
+        return 1
     if serve_gate(current_report, baseline_report, args.max_serve_ratio):
         return 1
     baseline = guarded_timers_ms(baseline_report.get("metrics",
