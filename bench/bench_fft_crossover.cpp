@@ -7,13 +7,17 @@
 // error. Dense runs up to the sizes the O(n^3) complex LU can stomach; the
 // FFT path continues into the tens of thousands of filaments.
 //
-// Output: a human table, plus per-size counters in BENCH_fft.json —
-//   fast.crossover.n<K>.dense_us / .fft_us   wall microseconds per solve
-//   fast.crossover.n<K>.rel_ppb              |L_fft - L_dense| / L_dense, ppb
-//   fast.crossover.n<K>.l_fh                 loop inductance, femtohenries
-//   fast.crossover.speedup_x1000             dense/fft ratio at the largest
-//                                            common size, thousandths
-// The CI fft-crossover job asserts rel_ppb <= 1000 (1e-6) from the JSON.
+// Output: a human table, plus per-point counters in BENCH_fft.json, keyed
+// <W>x<C> for a bus of W wires by C pitch-long columns (W*C filaments) —
+//   fast.crossover.<W>x<C>.dense_us / .fft_us  wall microseconds per solve
+//   fast.crossover.<W>x<C>.rel_ppb             |L_fft - L_dense| / L_dense, ppb
+//   fast.crossover.<W>x<C>.l_fh                loop inductance, femtohenries
+//   fast.crossover.<W>x<C>.gmres_iters         GMRES iterations, fft solve
+//   fast.crossover.speedup_x1000               dense/fft ratio at the largest
+//                                              common size, thousandths
+// The CI fft-crossover job asserts rel_ppb <= 1000 (1e-6) from the JSON, and
+// that the preconditioner's sparse-LU fill (factor.sparse_lu.fill_nnz, the
+// sweep maximum) stays within 16x fast.voxel_cells.
 //
 // --ci runs a trimmed sweep sized for the gate, not for the committed
 // BENCH_fft.json numbers.
@@ -92,21 +96,26 @@ int main(int argc, char** argv) {
   // refine == pitch keeps the two discretisations identical, so the l_fh
   // columns must match to solver tolerance wherever both methods run.
   const std::vector<SweepPoint> sweep =
-      ci ? std::vector<SweepPoint>{{4, 64, true}, {4, 128, true}, {8, 128, false}}
-         : std::vector<SweepPoint>{{4, 128, true},  {4, 256, true},
-                                   {8, 256, true},  {8, 768, false},
-                                   {16, 768, false}, {16, 1536, false}};
+      ci ? std::vector<SweepPoint>{{4, 64, true}, {4, 128, true},
+                                   {4, 256, true}, {8, 128, false}}
+         : std::vector<SweepPoint>{{4, 128, true},    {4, 256, true},
+                                   {8, 256, true},    {8, 768, false},
+                                   {16, 768, false},  {16, 1536, false},
+                                   {16, 6144, false}};
 
   auto& metrics = runtime::MetricsRegistry::instance();
-  std::printf("%10s %14s %12s %12s %12s\n", "filaments", "L (nH)",
-              "dense (s)", "fft (s)", "rel diff");
+  std::printf("%10s %14s %12s %12s %12s %8s\n", "filaments", "L (nH)",
+              "dense (s)", "fft (s)", "rel diff", "iters");
   double last_common_speedup = 0.0;
   for (const SweepPoint& pt : sweep) {
     const int n = pt.wires * pt.cols;
     const geom::Layout l =
         geom::refine(bus_layout(pt.wires, pt.cols), um(kPitchUm));
 
+    auto& iterations = metrics.counter("solve.gmres.iterations").value;
+    const std::int64_t iters_before = iterations.load();
     const Extraction fft = run_extraction(l, pt.cols, loop::ExtractionMethod::FftGmres);
+    const std::int64_t iters = iterations.load() - iters_before;
     Extraction dense;
     double rel = 0.0;
     if (pt.dense) {
@@ -116,11 +125,13 @@ int main(int argc, char** argv) {
       last_common_speedup = dense.seconds / fft.seconds;
     }
 
-    const std::string key = "fast.crossover.n" + std::to_string(n);
+    const std::string key = "fast.crossover." + std::to_string(pt.wires) +
+                            "x" + std::to_string(pt.cols);
     metrics.add_count(key + ".fft_us",
                       static_cast<std::int64_t>(fft.seconds * 1e6));
     metrics.add_count(key + ".l_fh",
                       static_cast<std::int64_t>(fft.l_henries * 1e15));
+    metrics.add_count(key + ".gmres_iters", iters);
     if (pt.dense) {
       metrics.add_count(key + ".dense_us",
                         static_cast<std::int64_t>(dense.seconds * 1e6));
@@ -129,11 +140,13 @@ int main(int argc, char** argv) {
     }
 
     if (pt.dense) {
-      std::printf("%10d %14.5f %12.3f %12.3f %12.2e\n", n,
-                  fft.l_henries * 1e9, dense.seconds, fft.seconds, rel);
+      std::printf("%10d %14.5f %12.3f %12.3f %12.2e %8lld\n", n,
+                  fft.l_henries * 1e9, dense.seconds, fft.seconds, rel,
+                  static_cast<long long>(iters));
     } else {
-      std::printf("%10d %14.5f %12s %12.3f %12s\n", n, fft.l_henries * 1e9,
-                  "-", fft.seconds, "-");
+      std::printf("%10d %14.5f %12s %12.3f %12s %8lld\n", n,
+                  fft.l_henries * 1e9, "-", fft.seconds, "-",
+                  static_cast<long long>(iters));
     }
   }
   metrics.add_count("fast.crossover.speedup_x1000",

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "extract/partial_inductance.hpp"
@@ -21,6 +20,40 @@ std::uint64_t key_of(const geom::Point& p, int layer, double snap) {
   const std::uint64_t ux = static_cast<std::uint64_t>(qx + (1LL << 27));
   const std::uint64_t uy = static_cast<std::uint64_t>(qy + (1LL << 27));
   return (static_cast<std::uint64_t>(layer) << 56) | (ux << 28) | uy;
+}
+
+/// Conductor groups not connected to the reference have no defined
+/// potential (singular KCL block). The port problems tie one node of each
+/// such group to the reference with a unit conductance: since that is the
+/// group's only connection, zero net current flows through it — the fix is
+/// exact, it merely pins the floating potential. Branch k joins nodes a[k]
+/// and b[k]; returns the lowest active node (compact >= 0) of every group
+/// without `ref`, in ascending order.
+std::vector<std::size_t> floating_group_pins(
+    const std::vector<std::size_t>& a, const std::vector<std::size_t>& b,
+    const std::vector<std::ptrdiff_t>& compact, std::size_t ref) {
+  std::vector<std::size_t> comp(compact.size());
+  for (std::size_t i = 0; i < comp.size(); ++i) comp[i] = i;
+  const auto find = [&](std::size_t x) {
+    while (comp[x] != x) x = comp[x] = comp[comp[x]];
+    return x;
+  };
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const std::size_t ra = find(a[k]);
+    const std::size_t rb = find(b[k]);
+    if (ra != rb) comp[ra] = rb;
+  }
+  std::vector<std::size_t> pins;
+  std::vector<char> seen(comp.size(), 0);
+  const std::size_t ref_comp = find(ref);
+  for (std::size_t i = 0; i < comp.size(); ++i) {
+    if (compact[i] < 0) continue;
+    const std::size_t c = find(i);
+    if (c == ref_comp || seen[c]) continue;
+    seen[c] = 1;
+    pins.push_back(i);
+  }
+  return pins;
 }
 
 }  // namespace
@@ -90,7 +123,6 @@ MqsSolver::MqsSolver(const std::vector<geom::Segment>& segments,
           static_cast<std::int64_t>(
               grid.stats.relative_error(grid.pitch) * 1e6));
       toeplitz_ = std::make_shared<const fast::ToeplitzLOperator>(std::move(grid));
-      precond_l_ = fast::voxel_sparsified_l(*toeplitz_, opts.fast.precond);
     }
   }
   if (method_ != ExtractionMethod::FftGmres) {
@@ -165,56 +197,35 @@ LoopImpedance MqsSolver::port_impedance_dense(std::size_t plus,
   if (p == ref)
     throw std::invalid_argument("port_impedance: port nodes are shorted");
 
+  const std::size_t nf = filaments_.size();
+  std::vector<std::size_t> fa(nf), fb(nf);
+  for (std::size_t k = 0; k < nf; ++k) {
+    fa[k] = canonical(fil_a_[k]);
+    fb[k] = canonical(fil_b_[k]);
+  }
+
   // Compact indices for canonical nodes, with the reference node removed.
   std::vector<std::ptrdiff_t> compact(node_count_, -1);
   std::size_t n_active = 0;
-  for (std::size_t k = 0; k < filaments_.size(); ++k) {
-    for (std::size_t node : {canonical(fil_a_[k]), canonical(fil_b_[k])}) {
+  for (std::size_t k = 0; k < nf; ++k) {
+    for (std::size_t node : {fa[k], fb[k]}) {
       if (node == ref || compact[node] >= 0) continue;
       compact[node] = static_cast<std::ptrdiff_t>(n_active++);
     }
   }
   if (compact[p] < 0)
     throw std::invalid_argument("port_impedance: plus node is floating");
+  const std::vector<std::size_t> pin_nodes =
+      floating_group_pins(fa, fb, compact, ref);
 
-  // Conductor groups not connected to the reference have no defined
-  // potential (singular KCL block). Tie one node of each such group to the
-  // reference with a unit conductance: since that is the group's only
-  // connection, zero net current flows through it — the fix is exact, it
-  // merely pins the floating potential.
-  std::vector<std::size_t> comp(node_count_);
-  for (std::size_t i = 0; i < node_count_; ++i) comp[i] = i;
-  std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-    while (comp[x] != x) x = comp[x] = comp[comp[x]];
-    return x;
-  };
-  for (std::size_t k = 0; k < filaments_.size(); ++k) {
-    const std::size_t ra = find(canonical(fil_a_[k]));
-    const std::size_t rb = find(canonical(fil_b_[k]));
-    if (ra != rb) comp[ra] = rb;
-  }
-  std::vector<std::size_t> pin_nodes;
-  {
-    std::vector<char> seen(node_count_, 0);
-    const std::size_t ref_comp = find(ref);
-    for (std::size_t i = 0; i < node_count_; ++i) {
-      if (canonical(i) != i || compact[i] < 0) continue;
-      const std::size_t c = find(i);
-      if (c == ref_comp || seen[c]) continue;
-      seen[c] = 1;
-      pin_nodes.push_back(i);
-    }
-  }
-
-  const std::size_t nf = filaments_.size();
   const std::size_t size = n_active + nf;
   la::CMatrix a(size, size);
   const double omega = 2.0 * M_PI * frequency;
   const la::Complex jw{0.0, omega};
 
   for (std::size_t k = 0; k < nf; ++k) {
-    const std::ptrdiff_t na = compact[canonical(fil_a_[k])];
-    const std::ptrdiff_t nb = compact[canonical(fil_b_[k])];
+    const std::ptrdiff_t na = compact[fa[k]];
+    const std::ptrdiff_t nb = compact[fb[k]];
     const std::size_t br = n_active + k;
     // KCL: branch current leaves a, enters b.
     if (na >= 0) a(static_cast<std::size_t>(na), br) += 1.0;
@@ -241,9 +252,10 @@ LoopImpedance MqsSolver::port_impedance_dense(std::size_t plus,
   return {frequency, z.real(), z.imag() / omega};
 }
 
-LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
-                                            std::size_t minus,
-                                            double frequency) const {
+fast::LatticeIncidence MqsSolver::lattice_incidence(std::size_t plus,
+                                                    std::size_t minus) const {
+  if (!toeplitz_)
+    throw std::logic_error("lattice_incidence: solver is not on the fft path");
   const fast::VoxelGrid& grid = toeplitz_->grid();
   const std::size_t p_solver = canonical(plus);
   const std::size_t ref_solver = canonical(minus);
@@ -257,7 +269,7 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
   // sharing exactly on aligned layouts.
   std::vector<std::size_t> lat(grid.node_count);
   for (std::size_t i = 0; i < grid.node_count; ++i) lat[i] = i;
-  std::function<std::size_t(std::size_t)> lfind = [&](std::size_t x) {
+  const auto lfind = [&](std::size_t x) {
     while (lat[x] != x) x = lat[x] = lat[lat[x]];
     return x;
   };
@@ -294,44 +306,38 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
 
   // Compact indices for canonical lattice nodes, reference removed.
   std::vector<std::ptrdiff_t> compact(grid.node_count, -1);
-  std::size_t n_active = 0;
+  fast::LatticeIncidence inc;
   for (std::size_t c = 0; c < nc; ++c) {
     for (std::size_t node : {cell_a[c], cell_b[c]}) {
       if (node == ref || compact[node] >= 0) continue;
-      compact[node] = static_cast<std::ptrdiff_t>(n_active++);
+      compact[node] = static_cast<std::ptrdiff_t>(inc.nodes++);
     }
   }
   const std::size_t p_lat =
       lfind(static_cast<std::size_t>(solver_rep[p_solver]));
   if (compact[p_lat] < 0)
     throw std::invalid_argument("port_impedance: plus node is floating");
-
-  // Pin one node of every conductor group not connected to the reference
-  // (same exact fix as the dense path).
-  std::vector<std::size_t> comp(grid.node_count);
-  for (std::size_t i = 0; i < grid.node_count; ++i) comp[i] = i;
-  std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-    while (comp[x] != x) x = comp[x] = comp[comp[x]];
-    return x;
-  };
+  inc.port = static_cast<std::size_t>(compact[p_lat]);
+  inc.node_a.resize(nc);
+  inc.node_b.resize(nc);
   for (std::size_t c = 0; c < nc; ++c) {
-    const std::size_t ra = find(cell_a[c]);
-    const std::size_t rb = find(cell_b[c]);
-    if (ra != rb) comp[ra] = rb;
-  }
-  std::vector<std::size_t> pin_nodes;
-  {
-    std::vector<char> seen(grid.node_count, 0);
-    const std::size_t ref_comp = find(ref);
-    for (std::size_t i = 0; i < grid.node_count; ++i) {
-      if (lfind(i) != i || compact[i] < 0) continue;
-      const std::size_t c = find(i);
-      if (c == ref_comp || seen[c]) continue;
-      seen[c] = 1;
-      pin_nodes.push_back(i);
-    }
+    inc.node_a[c] = compact[cell_a[c]];
+    inc.node_b[c] = compact[cell_b[c]];
   }
 
+  for (const std::size_t node :
+       floating_group_pins(cell_a, cell_b, compact, ref))
+    inc.pins.push_back(static_cast<std::size_t>(compact[node]));
+  return inc;
+}
+
+LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
+                                            std::size_t minus,
+                                            double frequency) const {
+  const fast::VoxelGrid& grid = toeplitz_->grid();
+  const fast::LatticeIncidence inc = lattice_incidence(plus, minus);
+  const std::size_t n_active = inc.nodes;
+  const std::size_t nc = grid.cells.size();
   const std::size_t size = n_active + nc;
   const double omega = 2.0 * M_PI * frequency;
   const la::Complex jw{0.0, omega};
@@ -348,8 +354,8 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
       op.apply_dense(xi, li);
     y.assign(size, la::Complex{});
     for (std::size_t c = 0; c < nc; ++c) {
-      const std::ptrdiff_t na = compact[cell_a[c]];
-      const std::ptrdiff_t nb = compact[cell_b[c]];
+      const std::ptrdiff_t na = inc.node_a[c];
+      const std::ptrdiff_t nb = inc.node_b[c];
       const la::Complex ic = x[n_active + c];
       la::Complex vdrop{};
       if (na >= 0) {
@@ -363,53 +369,27 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
       y[n_active + c] =
           vdrop - la::Complex{grid.resistance[c], 0.0} * ic - jw * li[c];
     }
-    for (std::size_t node : pin_nodes) {
-      const auto idx = static_cast<std::size_t>(compact[node]);
-      y[idx] += x[idx];
-    }
+    for (const std::size_t idx : inc.pins) y[idx] += x[idx];
   };
 
   la::CVector b(size, la::Complex{});
-  b[static_cast<std::size_t>(compact[p_lat])] = 1.0;
+  b[inc.port] = 1.0;
 
-  // Preconditioner: the same MQS structure with the sparsified L', factored
-  // as a real-equivalent sparse system through the recovery ladder.
+  // Preconditioner: the same system with Z cut to its diagonal, the cell
+  // self impedances, solved through the nodal Schur complement.
   robust::SolveReport report;
-  std::unique_ptr<fast::ComplexSparseFactor> pre;
+  std::unique_ptr<fast::NodalPreconditioner> pre;
   la::CApplyFn pre_apply;
-  if (opts_.fast.precond.kind != fast::PrecondKind::None) {
-    std::vector<fast::ComplexTriplet> entries;
-    entries.reserve(4 * nc + 2 * precond_l_.terms.size() + pin_nodes.size());
-    for (std::size_t c = 0; c < nc; ++c) {
-      const std::ptrdiff_t na = compact[cell_a[c]];
-      const std::ptrdiff_t nb = compact[cell_b[c]];
-      const std::size_t br = n_active + c;
-      if (na >= 0) {
-        entries.push_back({static_cast<std::size_t>(na), br, 1.0});
-        entries.push_back({br, static_cast<std::size_t>(na), 1.0});
-      }
-      if (nb >= 0) {
-        entries.push_back({static_cast<std::size_t>(nb), br, -1.0});
-        entries.push_back({br, static_cast<std::size_t>(nb), -1.0});
-      }
-      entries.push_back(
-          {br, br,
-           -(la::Complex{grid.resistance[c], 0.0} + jw * precond_l_.diag[c])});
-    }
-    for (const sparsify::MutualTerm& t : precond_l_.terms) {
-      entries.push_back(
-          {n_active + t.i, n_active + t.j, -jw * la::Complex{t.value}});
-      entries.push_back(
-          {n_active + t.j, n_active + t.i, -jw * la::Complex{t.value}});
-    }
-    for (std::size_t node : pin_nodes)
-      entries.push_back({static_cast<std::size_t>(compact[node]),
-                         static_cast<std::size_t>(compact[node]), 1.0});
-    pre = std::make_unique<fast::ComplexSparseFactor>(
-        size, entries, report, "mqs_precond", opts_.fast.dense_fallback_limit);
+  if (opts_.fast.precond.kind == fast::PrecondKind::Diag) {
+    const double l_self = op.kernel(geom::Axis::X, 0, 0, 0);
+    std::vector<la::Complex> z(nc);
+    for (std::size_t c = 0; c < nc; ++c)
+      z[c] = la::Complex{grid.resistance[c], 0.0} + jw * l_self;
+    pre = std::make_unique<fast::NodalPreconditioner>(
+        inc, z, report, "mqs_precond", opts_.fast.dense_fallback_limit);
     if (pre->usable()) {
-      pre_apply = [&pre](const la::CVector& r, la::CVector& z) {
-        z = pre->solve(r);
+      pre_apply = [&pre](const la::CVector& r, la::CVector& out) {
+        pre->apply(r, out);
       };
     } else {
       pre.reset();  // unpreconditioned GMRES is still well-defined
@@ -447,8 +427,8 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
     const la::Matrix lcells = op.to_dense();
     la::CMatrix a(size, size);
     for (std::size_t c = 0; c < nc; ++c) {
-      const std::ptrdiff_t na = compact[cell_a[c]];
-      const std::ptrdiff_t nb = compact[cell_b[c]];
+      const std::ptrdiff_t na = inc.node_a[c];
+      const std::ptrdiff_t nb = inc.node_b[c];
       const std::size_t br = n_active + c;
       if (na >= 0) {
         a(static_cast<std::size_t>(na), br) += 1.0;
@@ -462,9 +442,7 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
       for (std::size_t m = 0; m < nc; ++m)
         if (lcells(c, m) != 0.0) a(br, n_active + m) -= jw * lcells(c, m);
     }
-    for (std::size_t node : pin_nodes)
-      a(static_cast<std::size_t>(compact[node]),
-        static_cast<std::size_t>(compact[node])) += 1.0;
+    for (const std::size_t idx : inc.pins) a(idx, idx) += 1.0;
     la::CLU lu = robust::factor_dense_with_recovery(a, report, "mqs_gmres");
     if (lu.size() > 0) {
       x = lu.solve(b);
@@ -475,7 +453,7 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
   report.residual_norm = gr.relative_residual;
   report.record("mqs_gmres");
 
-  const la::Complex z = x[static_cast<std::size_t>(compact[p_lat])];
+  const la::Complex z = x[inc.port];
   return {frequency, z.real(), z.imag() / omega};
 }
 

@@ -13,8 +13,9 @@
 //     Exact for arbitrary geometry; O(n²) memory, O(n³) solve.
 //   * FftGmres — the src/fast/ path: filaments voxelized onto a regular
 //     lattice, L applied matrix-free through the circulant-embedded FFT
-//     operator, the system solved by restarted GMRES with a sparsified-L
-//     preconditioner factored by the real-equivalent SparseLu. O(n log n)
+//     operator, the system solved by restarted GMRES preconditioned with
+//     the cell self terms, factored as the nodal Schur complement by the
+//     real-equivalent SparseLu (fast/precond.hpp). O(n log n)
 //     per iteration; accuracy governed by the voxel pitch (exact on
 //     lattice-aligned layouts — see fast/voxelize.hpp).
 //   * Auto — Dense below fast.auto_threshold filaments, FftGmres above.
@@ -108,6 +109,13 @@ class MqsSolver {
   LoopImpedance port_impedance(std::size_t plus, std::size_t minus,
                                double frequency) const;
 
+  /// FftGmres path: the lattice incidence of the port problem between
+  /// `plus` and `minus` (reference removed, floating groups pinned) that
+  /// port_impedance() solves. Throws std::logic_error on the dense path and
+  /// std::invalid_argument for the same port errors as port_impedance().
+  fast::LatticeIncidence lattice_incidence(std::size_t plus,
+                                           std::size_t minus) const;
+
  private:
   std::size_t canonical(std::size_t node) const;
 
@@ -135,7 +143,6 @@ class MqsSolver {
   ExtractionMethod method_ = ExtractionMethod::Dense;
   // Shared, immutable after construction — keeps MqsSolver copyable.
   std::shared_ptr<const fast::ToeplitzLOperator> toeplitz_;  // FftGmres only
-  sparsify::SparsifiedL precond_l_;  // frequency-independent sparsified L
 };
 
 }  // namespace ind::loop

@@ -10,11 +10,6 @@ namespace ind::serve {
 
 namespace {
 
-/// Bumped whenever the request/result encoding changes shape. Feeds both
-/// the decoder check and (via the encoded bytes) the request fingerprint, so
-/// a codec evolution invalidates every stale dedup/cache key at once.
-constexpr std::uint16_t kCodecVersion = 2;  // v2: extraction method + fast/ knobs
-
 constexpr struct {
   core::Flow flow;
   const char* key;
@@ -87,9 +82,6 @@ void put_options(store::ByteWriter& w, const core::AnalysisOptions& o) {
   w.f64(fs.voxel.width);
   w.f64(fs.voxel.thickness);
   w.u8(static_cast<std::uint8_t>(fs.precond.kind));
-  w.f64(fs.precond.radius);
-  w.f64(fs.precond.truncation_ratio);
-  w.u64(fs.precond.strip_cells);
   w.u64(fs.gmres.restart);
   w.u64(fs.gmres.max_restarts);
   w.f64(fs.gmres.tol);
@@ -176,11 +168,8 @@ void get_options(store::ByteReader& r, core::AnalysisOptions& o) {
   fs.voxel.width = r.f64();
   fs.voxel.thickness = r.f64();
   fs.precond.kind = checked_enum<fast::PrecondKind>(
-      r.u8(), static_cast<std::uint8_t>(fast::PrecondKind::Truncation),
+      r.u8(), static_cast<std::uint8_t>(fast::PrecondKind::Diag),
       "precond_kind");
-  fs.precond.radius = r.f64();
-  fs.precond.truncation_ratio = r.f64();
-  fs.precond.strip_cells = r.u64();
   fs.gmres.restart = r.u64();
   fs.gmres.max_restarts = r.u64();
   fs.gmres.tol = r.f64();
@@ -492,12 +481,6 @@ void apply_option_spec(core::AnalysisOptions& opts, std::string_view spec) {
         pc.kind = fast::PrecondKind::None;
       } else if (value == "diag") {
         pc.kind = fast::PrecondKind::Diag;
-      } else if (value == "blockdiag") {
-        pc.kind = fast::PrecondKind::BlockDiag;
-      } else if (value == "shell") {
-        pc.kind = fast::PrecondKind::Shell;
-      } else if (value == "trunc") {
-        pc.kind = fast::PrecondKind::Truncation;
       } else {
         throw std::invalid_argument("serve: unknown preconditioner '" +
                                     std::string(value) + "'");

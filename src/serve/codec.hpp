@@ -42,6 +42,13 @@ class ByteReader;
 
 namespace ind::serve {
 
+/// Bumped whenever the request/result encoding changes shape. Feeds both
+/// the decoder check and (via the encoded bytes) the request fingerprint, so
+/// a codec evolution invalidates every stale dedup/cache key at once.
+/// v2: extraction method + fast/ knobs; v3: the preconditioner is only a
+/// kind (none | diag).
+inline constexpr std::uint16_t kCodecVersion = 3;
+
 struct Request {
   geom::Layout layout;
   core::AnalysisOptions options;
@@ -137,7 +144,7 @@ store::Digest request_fingerprint(const Request& req,
 ///                   (loop.extraction.max_segment_length, um)
 ///   method          dense | fft | auto (loop.extraction.mqs.method)
 ///   fft_pitch_um    voxel pitch of the fft method (0 = auto-select)
-///   fft_precond     none | diag | blockdiag | shell | trunc
+///   fft_precond     none | diag
 ///   gmres_tol       GMRES relative-residual tolerance
 ///   gmres_restart   GMRES restart (Krylov space) dimension
 ///   fft_auto_threshold  filament count where Auto switches to fft

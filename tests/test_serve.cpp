@@ -7,6 +7,7 @@
 // independence of the result bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -128,7 +129,7 @@ TEST_F(ServeTest, RequestDecodeRejectsOutOfRangeEnum) {
   // The flow octet sits right after the codec version + layout block; flip
   // it to an impossible value by re-encoding with a corrupted options flow.
   store::ByteWriter w;
-  w.u16(2);  // kCodecVersion
+  w.u16(serve::kCodecVersion);
   store::serde::put(w, req.layout);
   w.u8(0xEE);  // flow — far beyond Flow::LoopRlc
   auto corrupt = w.take();
@@ -229,6 +230,61 @@ TEST_F(ServeTest, OptionSpecRejectsMalformedTokens) {
   EXPECT_THROW(serve::options_from_spec("just_a_word"), std::invalid_argument);
   EXPECT_THROW(serve::options_from_spec("=5"), std::invalid_argument);
   EXPECT_NO_THROW(serve::options_from_spec("  "));  // empty spec is fine
+}
+
+TEST_F(ServeTest, OptionSpecAcceptsOnlyNoneAndDiagPreconditioners) {
+  const auto kind_of = [](const char* spec) {
+    return serve::options_from_spec(spec).loop.extraction.mqs.fast.precond.kind;
+  };
+  EXPECT_EQ(kind_of("fft_precond=none"), fast::PrecondKind::None);
+  EXPECT_EQ(kind_of("fft_precond=diag"), fast::PrecondKind::Diag);
+  for (const std::string kind : {"shell", "blockdiag", "trunc"}) {
+    try {
+      serve::options_from_spec("fft_precond=" + kind);
+      ADD_FAILURE() << kind << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "serve: unknown preconditioner '" + kind + "'");
+    }
+  }
+}
+
+TEST_F(ServeTest, PreviousCodecVersionIsAVersionMismatch) {
+  // A v2 body (it carried three more preconditioner fields) must stop at the
+  // version check, not be read with the v3 field layout.
+  auto image = encoded(grid_request());
+  store::ByteWriter v2;
+  v2.u16(2);
+  const auto head = v2.take();
+  std::copy(head.begin(), head.end(), image.begin());
+  serve::Request back;
+  store::ByteReader r(image);
+  try {
+    serve::get_request(r, back);
+    ADD_FAILURE() << "v2 request decoded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "serve: request codec version 2 != " +
+                  std::to_string(serve::kCodecVersion));
+  }
+
+  // Over the wire the server answers it with a structured error.
+  serve::Server server(serve::ServerConfig{});
+  server.start();
+  serve::Client client;
+  client.connect_tcp("127.0.0.1", server.port());
+  store::ByteWriter payload;
+  payload.u64(17);
+  payload.raw(image.data(), image.size());
+  serve::Frame f;
+  f.type = serve::FrameType::AnalyzeRequest;
+  f.payload = payload.take();
+  ASSERT_TRUE(client.send_raw(f));
+  const serve::Reply reply = client.read_reply();
+  ASSERT_FALSE(reply.ok);
+  EXPECT_EQ(reply.error.code, serve::ErrorCode::MalformedFrame);
+  EXPECT_NE(reply.error.detail.find("codec version 2"), std::string::npos);
+  server.shutdown();
 }
 
 // ---------------------------------------------------------------------------
