@@ -50,10 +50,10 @@ std::uint64_t fnv1a_bytes(const void* p, std::size_t nbytes,
 // Factor digest: packed LU bytes + permutation. Published via max_count so
 // runs at different IND_THREADS can be diffed for bitwise equality straight
 // from BENCH_kernels.json.
-void publish_factor_digest(const char* name, const la::LU& f) {
+template <typename T>
+void publish_factor_digest(const char* name, const la::LuFactor<T>& f) {
   const std::size_t n = f.size();
-  std::uint64_t h =
-      fnv1a_bytes(f.packed().data(), n * n * sizeof(double));
+  std::uint64_t h = fnv1a_bytes(f.packed().data(), n * n * sizeof(T));
   h = fnv1a_bytes(f.perm().data(), n * sizeof(std::size_t), h);
   runtime::MetricsRegistry::instance().max_count(
       name, static_cast<std::int64_t>(h & 0x7fffffffffffffffULL));
@@ -185,6 +185,58 @@ void BM_DenseLu2048Scalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseLu2048Scalar)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+// Complex MQS saddle system in the loop solver's layout ([KCL; branch] over
+// [node voltages; filament currents]): `wires` chains of `segments`
+// filaments, a pin on each wire's first node, and -(R + jwL) in the branch
+// block with mutual terms only between parallel wires (alternate wires are
+// orthogonal), so most entries are exact zeros, as in the LOOP flow.
+la::CMatrix mqs_saddle(std::size_t wires, std::size_t segments) {
+  const std::size_t nodes = wires * (segments + 1);
+  const std::size_t nf = wires * segments;
+  la::CMatrix a(nodes + nf, nodes + nf);
+  for (std::size_t w = 0; w < wires; ++w) {
+    a(w * (segments + 1), w * (segments + 1)) += 1.0;
+    for (std::size_t s = 0; s < segments; ++s) {
+      const std::size_t k = w * segments + s;
+      const std::size_t na = w * (segments + 1) + s;
+      const std::size_t br = nodes + k;
+      a(na, br) += 1.0;
+      a(na + 1, br) -= 1.0;
+      a(br, na) += 1.0;
+      a(br, na + 1) -= 1.0;
+      a(br, br) -= la::Complex{0.1 + 0.01 * static_cast<double>(k % 5),
+                               2.0 + 0.1 * static_cast<double>(k % 3)};
+      for (std::size_t w2 = w % 2; w2 < wires; w2 += 2)
+        for (std::size_t s2 = 0; s2 < segments; ++s2) {
+          const std::size_t m = w2 * segments + s2;
+          if (m == k) continue;
+          const double dist = static_cast<double>(
+              (w > w2 ? w - w2 : w2 - w) + (s > s2 ? s - s2 : s2 - s));
+          a(br, nodes + m) -= la::Complex{0.0, 0.8 / (1.0 + dist)};
+        }
+    }
+  }
+  return a;
+}
+
+// The dense LOOP-flow factorisation: a complex saddle system of 784
+// unknowns (~88% exact zeros). The default blocked factor's digest must
+// equal the unblocked (block = 1) loop's at any IND_THREADS; CI runs this
+// in its own invocation so its factor.lu samples stay out of the n = 2048
+// timer gate. The timed loop factors only (digests are taken once, above).
+void BM_ComplexSaddleLu(benchmark::State& state) {
+  const la::CMatrix a = mqs_saddle(16, 24);
+  publish_factor_digest("kernels.saddle_lu.digest", la::CLU(a));
+  publish_factor_digest("kernels.saddle_lu.scalar_digest",
+                        la::CLU(a, la::LuOptions{.block = 1}));
+  for (auto _ : state) {
+    la::CMatrix copy = a;
+    const la::CLU f(std::move(copy));
+    benchmark::DoNotOptimize(f.packed().data());
+  }
+}
+BENCHMARK(BM_ComplexSaddleLu)->Unit(benchmark::kMillisecond);
 
 // Batch Grover kernel throughput (the assembly/Toeplitz hot loop).
 void BM_MutualBatch(benchmark::State& state) {

@@ -28,6 +28,16 @@
 // size and every thread count skip the same updates and stay bitwise
 // identical to each other.
 //
+// Complex products. For std::complex<double> every `a * b` above is the
+// written-out product of mul() below, on the parts of the interleaved
+// doubles: (ar*br - ai*bi, ar*bi + ai*br), each term rounded, then one
+// rounded subtraction per part from c. That is the value std::complex's
+// operator* gives for every product that is not NaN in both parts, so the
+// factor keeps the bits of a loop written with the operators. Division stays
+// std::complex's own (the LU pivot quotient and the solves' diagonal), and
+// the build does not use -fcx-limited-range, which would change division
+// as well as drop the multiply's NaN guard.
+//
 // Shape note: the j loop is innermost and contiguous on B rows and the C row.
 // That is deliberately NOT a fixed-size register tile — with leading
 // dimensions only known at run time, GCC's SLP vectoriser abandons small
@@ -41,9 +51,24 @@
 #pragma once
 
 #include <algorithm>
+#include <complex>
 #include <cstddef>
+#include <type_traits>
 
 namespace ind::la::kernels {
+
+/// x * b, with a complex product written out on its parts (see "Complex
+/// products" above). GCC wraps std::complex's operator* in a NaN test and a
+/// __muldc3 call under the default (C99 Annex G) rules; that branch per
+/// product keeps the complex loops from vectorising.
+template <typename T>
+inline T mul(const T& x, const T& b) {
+  if constexpr (std::is_same_v<T, std::complex<double>>)
+    return {x.real() * b.real() - x.imag() * b.imag(),
+            x.real() * b.imag() + x.imag() * b.real()};
+  else
+    return x * b;
+}
 
 /// Column-strip width for the GEMM update: the 8 active B row strips
 /// (kGemmUnrollK x kGemmStrip x 8 bytes = 16 KiB for doubles) plus the C row
@@ -52,9 +77,9 @@ inline constexpr std::size_t kGemmStrip = 256;
 
 /// Per-type k-direction unroll: each pass over a C row strip applies this
 /// many consecutive pivots, so C is loaded and stored once per that many
-/// rank-1 updates. 8 saturates both FP ports for double; complex
-/// arithmetic spills the unrolled broadcast registers at 8 and measures
-/// faster at 4.
+/// rank-1 updates. 8 saturates both FP ports for double; a complex pass
+/// holds two broadcast registers per pivot, and 2, 4, 6 and 8 measure the
+/// same, so it stays at 4.
 template <typename T>
 inline constexpr std::size_t kGemmUnrollK = 4;
 template <>
@@ -75,7 +100,7 @@ void gemm_minus(std::size_t mr, std::size_t nc, std::size_t kb, const T* a,
                   std::size_t j0, std::size_t j1) {
     for (std::size_t j = j0; j < j1; ++j) {
       T s = ci[j];
-      for (std::size_t u = 0; u < KU; ++u) s -= x[u] * bp[u][j];
+      for (std::size_t u = 0; u < KU; ++u) s -= mul(x[u], bp[u][j]);
       ci[j] = s;
     }
   };
@@ -119,7 +144,7 @@ void gemm_minus(std::size_t mr, std::size_t nc, std::size_t kb, const T* a,
       for (std::size_t u = 0; u < m; ++u) {
         const T xu = x[u];
         const T* bu = bp[u];
-        for (std::size_t j = j0; j < j1; ++j) ci[j] -= xu * bu[j];
+        for (std::size_t j = j0; j < j1; ++j) ci[j] -= mul(xu, bu[j]);
       }
     }
   }
@@ -141,7 +166,7 @@ void trsm_lower_unit_minus(std::size_t kb, std::size_t nc, const T* l,
       const T lkm = lk[m];
       if (lkm == T{}) continue;
       const T* cm = c + m * ldc;
-      for (std::size_t j = 0; j < nc; ++j) ck[j] -= lkm * cm[j];
+      for (std::size_t j = 0; j < nc; ++j) ck[j] -= mul(lkm, cm[j]);
     }
   }
 }

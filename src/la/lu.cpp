@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -24,6 +25,13 @@ Complex sign_of(const Complex& x) {
   return m == 0.0 ? Complex{1.0, 0.0} : x / m;
 }
 
+// Bitwise +0 (both parts +0 for complex), unlike x == 0, which -0 passes.
+template <typename T>
+bool is_positive_zero(const T& x) {
+  static constexpr T kZero{};
+  return std::memcmp(&x, &kZero, sizeof(T)) == 0;
+}
+
 // Panel width when LuOptions::block is 0. It is a constant: the block size
 // must stay fixed within a run for the bitwise-determinism contract.
 constexpr std::size_t kDefaultLuBlock = 48;
@@ -31,6 +39,19 @@ constexpr std::size_t kDefaultLuBlock = 48;
 std::size_t resolve_block(std::size_t requested) {
   return requested != 0 ? std::min<std::size_t>(requested, 512)
                         : kDefaultLuBlock;
+}
+
+// acc - a[0]*x[0] - a[stride]*x[1] - ... over `count` terms, subtracted in
+// ascending order. A term whose factor entry is exactly zero is skipped (see
+// lu.hpp for why that keeps the non-skipping loop's bits).
+template <typename T>
+T minus_dot(T acc, const T* a, std::size_t stride, const T* x,
+            std::size_t count) {
+  for (std::size_t j = 0; j < count; ++j) {
+    const T aj = a[j * stride];
+    if (aj != T{}) acc -= kernels::mul(aj, x[j]);
+  }
+  return acc;
 }
 
 }  // namespace
@@ -50,7 +71,10 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
   // Capture ||A||_1 and max|A| before elimination overwrites the entries;
   // both feed the post-factorisation condition / growth diagnostics. (Row
   // traversal with per-column accumulators keeps the scan cache-friendly;
-  // each column's sum is still accumulated in ascending row order.)
+  // each column's sum is still accumulated in ascending row order.) This
+  // scan, the pivot search and the growth scan below skip exactly-zero
+  // entries: a zero magnitude never raises a maximum nor changes a sum of
+  // nonnegative terms, and a complex magnitude is a hypot call.
   T* const d = lu_.data();
   double amax = 0.0;
   {
@@ -58,6 +82,7 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
     for (std::size_t i = 0; i < n; ++i) {
       const T* ri = d + i * n;
       for (std::size_t j = 0; j < n; ++j) {
+        if (ri[j] == T{}) continue;
         const double m = magnitude(ri[j]);
         colsum[j] += m;
         if (m > amax) amax = m;
@@ -95,6 +120,7 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
       std::size_t pivot = k;
       double best = magnitude(d[k * n + k]);
       for (std::size_t i = k + 1; i < n; ++i) {
+        if (d[i * n + k] == T{}) continue;
         const double cand = magnitude(d[i * n + k]);
         if (cand > best) {
           best = cand;
@@ -117,13 +143,18 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
       // per-element order. A zero multiplier's update is skipped here
       // exactly as the kernels skip it (la/kernels.hpp: it changes no
       // nonzero bit, and every block size skips the same (i, k) pairs).
+      // A +0 entry's multiplier is the one quotient +0 / diag, divided
+      // once per column: a quotient depends only on its operands' bits.
+      const T zero_quotient = T{} / diag;
       auto panel_rows = [&](std::size_t i_begin, std::size_t i_end) {
         for (std::size_t i = i_begin; i < i_end; ++i) {
           T* ri = d + i * n;
-          const T factor = ri[k] / diag;
+          const T factor =
+              is_positive_zero(ri[k]) ? zero_quotient : ri[k] / diag;
           ri[k] = factor;
           if (factor == T{}) continue;
-          for (std::size_t j = k + 1; j < k1; ++j) ri[j] -= factor * rk[j];
+          for (std::size_t j = k + 1; j < k1; ++j)
+            ri[j] -= kernels::mul(factor, rk[j]);
         }
       };
       const std::size_t rows = n - k - 1;
@@ -181,7 +212,7 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
   double umax = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i; j < n; ++j)
-      umax = std::max(umax, magnitude(lu_(i, j)));
+      if (d[i * n + j] != T{}) umax = std::max(umax, magnitude(d[i * n + j]));
   pivot_growth_ = amax > 0.0 ? umax / amax : 0.0;
 }
 
@@ -189,19 +220,17 @@ template <typename T>
 std::vector<T> LuFactor<T>::solve(const std::vector<T>& b) const {
   const std::size_t n = size();
   if (b.size() != n) throw std::invalid_argument("LuFactor::solve: size");
+  const T* const lu = lu_.data();
   std::vector<T> x(n);
   // Apply permutation, then forward-substitute with unit-diagonal L.
   for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-  for (std::size_t i = 1; i < n; ++i) {
-    T acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
-    x[i] = acc;
-  }
+  for (std::size_t i = 1; i < n; ++i)
+    x[i] = minus_dot(x[i], lu + i * n, 1, x.data(), i);
   // Back-substitute with U.
   for (std::size_t ii = n; ii-- > 0;) {
-    T acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
-    x[ii] = acc / lu_(ii, ii);
+    const T* ui = lu + ii * n;
+    x[ii] = minus_dot(x[ii], ui + ii + 1, 1, x.data() + ii + 1, n - ii - 1) /
+            ui[ii];
   }
   return x;
 }
@@ -220,8 +249,8 @@ DenseMatrix<T> LuFactor<T>::solve(const DenseMatrix<T>& b) const {
   // in narrow strips so one strip of every RHS row stays cache-resident
   // while the packed factor streams through exactly once per strip. The
   // per-element update order (ascending j within each row's substitution)
-  // matches the vector solve, so every column is bitwise-identical to
-  // solve(vector).
+  // and the skipped zero entries match the vector solve, so every column is
+  // bitwise-identical to solve(vector).
   constexpr std::size_t kStrip = 32;
   const T* const lu = lu_.data();
   runtime::parallel_for(
@@ -238,25 +267,26 @@ DenseMatrix<T> LuFactor<T>::solve(const DenseMatrix<T>& b) const {
             T* dst = buf.data() + i * w;
             for (std::size_t c = 0; c < w; ++c) dst[c] = src[c];
           }
-          // Forward-substitute with unit-diagonal L.
-          for (std::size_t i = 1; i < n; ++i) {
-            const T* li = lu + i * n;
-            T* xi = buf.data() + i * w;
-            for (std::size_t j = 0; j < i; ++j) {
-              const T lij = li[j];
-              const T* xj = buf.data() + j * w;
-              for (std::size_t c = 0; c < w; ++c) xi[c] -= lij * xj[c];
+          // Row i of the strip -= a[j] * row j0 + j of the strip for every
+          // nonzero a[j] (a is the factor row segment starting at j0).
+          auto update = [&](T* xi, const T* a, std::size_t j0,
+                            std::size_t count) {
+            for (std::size_t j = 0; j < count; ++j) {
+              const T aj = a[j];
+              if (aj == T{}) continue;
+              const T* xj = buf.data() + (j0 + j) * w;
+              for (std::size_t c = 0; c < w; ++c)
+                xi[c] -= kernels::mul(aj, xj[c]);
             }
-          }
+          };
+          // Forward-substitute with unit-diagonal L.
+          for (std::size_t i = 1; i < n; ++i)
+            update(buf.data() + i * w, lu + i * n, 0, i);
           // Back-substitute with U.
           for (std::size_t ii = n; ii-- > 0;) {
             const T* ui = lu + ii * n;
             T* xi = buf.data() + ii * w;
-            for (std::size_t j = ii + 1; j < n; ++j) {
-              const T uij = ui[j];
-              const T* xj = buf.data() + j * w;
-              for (std::size_t c = 0; c < w; ++c) xi[c] -= uij * xj[c];
-            }
+            update(xi, ui + ii + 1, ii + 1, n - ii - 1);
             const T diag = ui[ii];
             for (std::size_t c = 0; c < w; ++c) xi[c] /= diag;
           }
@@ -277,18 +307,18 @@ std::vector<T> LuFactor<T>::solve_transposed(const std::vector<T>& b) const {
   if (b.size() != n)
     throw std::invalid_argument("LuFactor::solve_transposed: size");
   // P A = L U  =>  A^T = U^T L^T P; solve U^T z = b (forward, diag of U),
-  // then L^T w = z (backward, unit diag), then x = P^T w.
+  // then L^T w = z (backward, unit diag), then x = P^T w. Both sweeps walk
+  // factor columns and skip their exactly-zero entries, as solve() does.
+  const T* const lu = lu_.data();
   std::vector<T> z(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    T acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(j, i) * z[j];
-    z[i] = acc / lu_(i, i);
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    T acc = z[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(j, ii) * z[j];
-    z[ii] = acc;
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    z[i] = minus_dot(b[i], lu + i, n, z.data(), i) / lu[i * n + i];
+  // Column n-1 of L has nothing below the diagonal, so the sweep starts at
+  // row n-2.
+  if (n > 1)
+    for (std::size_t ii = n - 1; ii-- > 0;)
+      z[ii] = minus_dot(z[ii], lu + (ii + 1) * n + ii, n, z.data() + ii + 1,
+                        n - ii - 1);
   std::vector<T> x(n);
   for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = z[i];
   return x;

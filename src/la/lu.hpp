@@ -13,6 +13,14 @@
 // IND_THREADS for a fixed block size. The skip changes no nonzero bit of
 // the non-skipping elimination; a zero entry can differ from it only in
 // sign, and only for an input that holds -0.
+//
+// The solves skip the same way: every substitution update whose factor
+// entry is exactly zero is dropped, and complex updates use the written-out
+// product of la/kernels.hpp. The results keep the bits of the non-skipping
+// substitution unless a -0 reaches an accumulator: a -0 in the right-hand
+// side, or in solve_transposed a -0 that its first sweep's division makes
+// (+0 over a negative pivot) and its second sweep starts from. Even then
+// only the sign of an exactly-zero entry can differ.
 #pragma once
 
 #include <complex>

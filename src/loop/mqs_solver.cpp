@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "extract/partial_inductance.hpp"
 #include "la/lu.hpp"
@@ -452,6 +453,15 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
   if (!gr.converged) report.raise_status(robust::SolveStatus::NonConverged);
   report.residual_norm = gr.relative_residual;
   report.record("mqs_gmres");
+  // An unconverged iterate is not an impedance: past the dense-fallback
+  // limit (or when that fallback's factorisation failed) nothing is left on
+  // the ladder, so fail loudly instead of returning it.
+  if (!gr.converged)
+    throw std::runtime_error(
+        "port_impedance: FFT-GMRES did not converge on " +
+        std::to_string(nc) + " cells after " +
+        std::to_string(gr.iterations) + " iterations (relative residual " +
+        std::to_string(gr.relative_residual) + ")");
 
   const la::Complex z = x[inc.port];
   return {frequency, z.real(), z.imag() / omega};

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fast/fft.hpp"
@@ -601,6 +603,29 @@ TEST_F(FastTest, FftGmresPortImpedanceBitwiseAcrossThreadCounts) {
   const auto z4 = solve(4);
   EXPECT_EQ(std::memcmp(&z1.resistance, &z4.resistance, sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&z1.inductance, &z4.inductance, sizeof(double)), 0);
+}
+
+TEST_F(FastTest, UnconvergedGmresPastDenseFallbackLimitThrows) {
+  const geom::Layout l = geom::refine(aligned_bus(4, um(64)), um(4));
+  loop::MqsOptions opts = fft_options();
+  opts.fast.precond.kind = fast::PrecondKind::None;
+  opts.fast.dense_fallback_limit = 0;  // every cell count is past it
+  opts.fast.gmres.restart = 2;         // far too small a Krylov budget
+  opts.fast.gmres.max_restarts = 1;
+  loop::MqsSolver fft(l.segments(), l.vias(), l.tech(), opts);
+  fft.short_nodes(*fft.node_at({um(64), 0}, 6),
+                  *fft.node_at({um(64), um(4)}, 6));
+  try {
+    fft.port_impedance(*fft.node_at({0, 0}, 6), *fft.node_at({0, um(4)}, 6),
+                       1e9);
+    FAIL() << "an unconverged GMRES iterate was returned as an impedance";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("did not converge"), std::string::npos) << what;
+    EXPECT_NE(what.find("cells"), std::string::npos) << what;
+    EXPECT_NE(what.find("iterations"), std::string::npos) << what;
+    EXPECT_NE(what.find("residual"), std::string::npos) << what;
+  }
 }
 
 TEST_F(FastTest, GmresFaultRetryRecovers) {

@@ -1,7 +1,9 @@
 // Unit tests for the linear-algebra substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -657,20 +659,29 @@ DenseMatrix<T> mqs_saddle(std::size_t wires, std::size_t segments) {
   return a;
 }
 
-// Sparse random real matrix (about 3/4 exact zeros) with no diagonal
-// preference, so partial pivoting swaps rows throughout.
-Matrix zero_rich_random(std::size_t n, std::uint64_t seed) {
-  Matrix a(n, n);
+// Sparse random matrix (about 3/4 exact zeros) with no diagonal
+// preference, so partial pivoting swaps rows throughout. Complex entries
+// have both parts nonzero, unlike the saddle systems' purely real or purely
+// imaginary ones, so every term of a written-out product is rounded.
+template <typename T = double>
+DenseMatrix<T> zero_rich_random(std::size_t n, std::uint64_t seed) {
+  DenseMatrix<T> a(n, n);
   std::uint64_t s = seed;
+  const auto next = [&s] {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(s >> 11) / static_cast<double>(1ULL << 53) -
+           0.5;
+  };
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) {
-      s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+      const double re = next();
       if ((s >> 60) >= 4) continue;  // 12 of 16 entries stay zero
-      a(i, j) = static_cast<double>(s >> 11) /
-                    static_cast<double>(1ULL << 53) -
-                0.5;
+      if constexpr (std::is_same_v<T, Complex>)
+        a(i, j) = Complex{re, next()};
+      else
+        a(i, j) = re;
     }
-  for (std::size_t i = 0; i < n; ++i) a(i, (i * 7 + 3) % n) += 1.0;
+  for (std::size_t i = 0; i < n; ++i) a(i, (i * 7 + 3) % n) += T(1.0);
   return a;
 }
 
@@ -772,6 +783,241 @@ TEST(LuZeroSkip, NegativeZeroInputsDifferOnlyInZeroSign) {
   EXPECT_TRUE(equal_up_to_zero_sign(f.packed(), lu));
   EXPECT_TRUE(
       bitwise_equal(f.packed(), CLU(cplx, LuOptions{.block = 1}).packed()));
+}
+
+// --- zero-skipping solves -------------------------------------------------
+
+// The triangular solves without the zero skip: every update applied, with
+// std::complex's own operators, on the factor's packed L\U and permutation.
+// The references the skipping solves must reproduce bit for bit.
+template <typename T>
+std::vector<T> reference_solve(const LuFactor<T>& f, const std::vector<T>& b) {
+  const DenseMatrix<T>& lu = f.packed();
+  const std::size_t n = f.size();
+  std::vector<T> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = b[f.perm()[i]];
+  for (std::size_t i = 1; i < n; ++i) {
+    T acc = x[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= lu(i, j) * x[j];
+    x[i] = acc;
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    T acc = x[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu(ii, j) * x[j];
+    x[ii] = acc / lu(ii, ii);
+  }
+  return x;
+}
+
+template <typename T>
+std::vector<T> reference_solve_transposed(const LuFactor<T>& f,
+                                          const std::vector<T>& b) {
+  const DenseMatrix<T>& lu = f.packed();
+  const std::size_t n = f.size();
+  std::vector<T> z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    T acc = b[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= lu(j, i) * z[j];
+    z[i] = acc / lu(i, i);
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    T acc = z[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu(j, ii) * z[j];
+    z[ii] = acc;
+  }
+  std::vector<T> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[f.perm()[i]] = z[i];
+  return x;
+}
+
+// Hager's estimator exactly as LuFactor::condition_estimate runs it, on the
+// reference solves.
+template <typename T>
+double reference_condition_estimate(const LuFactor<T>& f) {
+  const std::size_t n = f.size();
+  const auto sign_of = [](const T& v) -> T {
+    if constexpr (std::is_same_v<T, Complex>) {
+      const double m = std::abs(v);
+      return m == 0.0 ? Complex{1.0, 0.0} : v / m;
+    } else {
+      return v >= 0.0 ? 1.0 : -1.0;
+    }
+  };
+  std::vector<T> x(n, T(1.0 / static_cast<double>(n)));
+  double est = 0.0;
+  std::size_t last_j = n;
+  for (int iter = 0; iter < 5; ++iter) {
+    const std::vector<T> y = reference_solve(f, x);
+    double y1 = 0.0;
+    for (const T& v : y) y1 += std::abs(v);
+    est = std::max(est, y1);
+    std::vector<T> xi(n);
+    for (std::size_t i = 0; i < n; ++i) xi[i] = sign_of(y[i]);
+    const std::vector<T> z = reference_solve_transposed(f, xi);
+    std::size_t j = 0;
+    double zmax = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      if (std::abs(z[i]) > zmax) {
+        zmax = std::abs(z[i]);
+        j = i;
+      }
+    if (j == last_j || zmax <= y1) break;
+    last_j = j;
+    std::fill(x.begin(), x.end(), T{});
+    x[j] = T{1.0};
+  }
+  return f.norm1() * est;
+}
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Deterministic right-hand sides in [-1, 1] (both parts for complex T).
+template <typename T>
+DenseMatrix<T> random_rhs(std::size_t rows, std::size_t cols,
+                          std::uint64_t seed) {
+  DenseMatrix<T> b(rows, cols);
+  std::uint64_t s = seed;
+  const auto next = [&s] {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return 2.0 * static_cast<double>(s >> 11) /
+               static_cast<double>(1ULL << 53) -
+           1.0;
+  };
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) {
+      if constexpr (std::is_same_v<T, Complex>)
+        b(i, j) = Complex{next(), next()};
+      else
+        b(i, j) = next();
+    }
+  return b;
+}
+
+template <typename T>
+std::vector<T> column(const DenseMatrix<T>& b, std::size_t j) {
+  std::vector<T> c(b.rows());
+  for (std::size_t i = 0; i < b.rows(); ++i) c[i] = b(i, j);
+  return c;
+}
+
+// PRIMA-shaped MNA pencil G + s0*C of an RLC mesh on a side x side node
+// grid: row resistors, a capacitor at every node, a driven node 0, and one
+// inductor branch per vertical node pair whose currents are extra unknowns,
+// coupled by mutual inductance to the parallel branches of the same row
+// band. Most entries are exact zeros, as in the reduced clock nets.
+Matrix prima_mna(std::size_t side, double s0) {
+  const std::size_t nodes = side * side;
+  const std::size_t branches = (side - 1) * side;
+  Matrix a(nodes + branches, nodes + branches);
+  const auto node = [side](std::size_t r, std::size_t c) {
+    return r * side + c;
+  };
+  a(0, 0) += 1.0;
+  for (std::size_t r = 0; r < side; ++r)
+    for (std::size_t c = 0; c < side; ++c) {
+      const std::size_t i = node(r, c);
+      a(i, i) += s0 * (0.5 + 0.05 * static_cast<double>(i % 5));
+      if (c + 1 < side) {
+        const double g = 1.0 / (1.0 + 0.1 * static_cast<double>(i % 7));
+        const std::size_t k = node(r, c + 1);
+        a(i, i) += g;
+        a(k, k) += g;
+        a(i, k) -= g;
+        a(k, i) -= g;
+      }
+    }
+  for (std::size_t r = 0; r + 1 < side; ++r)
+    for (std::size_t c = 0; c < side; ++c) {
+      const std::size_t br = nodes + r * side + c;
+      const std::size_t top = node(r, c), bottom = node(r + 1, c);
+      a(top, br) += 1.0;
+      a(bottom, br) -= 1.0;
+      a(br, top) -= 1.0;
+      a(br, bottom) += 1.0;
+      for (std::size_t c2 = 0; c2 < side; ++c2) {
+        const double dist =
+            static_cast<double>(c > c2 ? c - c2 : c2 - c);
+        a(br, nodes + r * side + c2) +=
+            s0 * (c2 == c ? 2.0 : 0.5 / (1.0 + dist));
+      }
+    }
+  return a;
+}
+
+// Vector, multi-RHS and transposed solves and the condition estimate of one
+// factor against the non-skipping references, bitwise.
+template <typename T>
+void expect_solves_match_reference(const LuFactor<T>& f,
+                                   std::uint64_t seed) {
+  const std::size_t n = f.size();
+  // 40 columns: a full 32-wide strip of the multi-RHS solve plus a tail.
+  const DenseMatrix<T> b = random_rhs<T>(n, 40, seed);
+  const DenseMatrix<T> x = f.solve(b);
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    const std::vector<T> bj = column(b, j);
+    const std::vector<T> ref = reference_solve(f, bj);
+    ASSERT_TRUE(bitwise_equal(f.solve(bj), ref)) << "vector solve, rhs " << j;
+    ASSERT_TRUE(bitwise_equal(column(x, j), ref)) << "strip solve, rhs " << j;
+    ASSERT_TRUE(bitwise_equal(f.solve_transposed(bj),
+                              reference_solve_transposed(f, bj)))
+        << "transposed solve, rhs " << j;
+  }
+  const double est = f.condition_estimate();
+  const double ref_est = reference_condition_estimate(f);
+  EXPECT_EQ(std::memcmp(&est, &ref_est, sizeof(double)), 0)
+      << est << " vs " << ref_est;
+}
+
+TEST(LuZeroSkip, SolvesMatchNonSkippingReferenceBitwise) {
+  const Matrix real_saddle = mqs_saddle<double>(6, 8);
+  const Matrix mna = prima_mna(8, 0.7);
+  const CMatrix complex_saddle = mqs_saddle<Complex>(8, 8);
+  ASSERT_GT(zero_count(mna) * 4, mna.rows() * mna.cols() * 3);
+  ThreadsGuard guard;
+  for (const unsigned threads : {1u, 4u}) {
+    ind::runtime::set_global_threads(threads);
+    SCOPED_TRACE(threads);
+    {
+      SCOPED_TRACE("real saddle");
+      expect_solves_match_reference(LU(real_saddle), 5);
+    }
+    {
+      SCOPED_TRACE("PRIMA-shaped MNA");
+      const LU f(mna);
+      ASSERT_GT(zero_count(f.packed()) * 2, mna.rows() * mna.cols());
+      expect_solves_match_reference(f, 6);
+    }
+    {
+      SCOPED_TRACE("complex saddle");
+      expect_solves_match_reference(CLU(complex_saddle), 7);
+    }
+  }
+}
+
+// Seven 48-wide panels, so every kernel (panel rank-1, TRSM, the fused
+// GEMM pass and its tail) runs on several blocks, at one and at four
+// threads: the 328-unknown complex saddle, and a general complex matrix
+// whose products round in both terms.
+TEST(LuZeroSkip, MultiPanelComplexMatchesReferenceBitwise) {
+  const CMatrix saddle = mqs_saddle<Complex>(8, 20);
+  const CMatrix random = zero_rich_random<Complex>(320, 9);
+  ASSERT_GE(saddle.rows(), 300u);
+  ThreadsGuard guard;
+  for (const CMatrix* a : {&saddle, &random}) {
+    const auto [lu, perm] = classic_lu(*a);
+    for (const unsigned threads : {1u, 4u}) {
+      ind::runtime::set_global_threads(threads);
+      SCOPED_TRACE(threads);
+      const CLU f(*a);
+      EXPECT_EQ(f.perm(), perm);
+      ASSERT_TRUE(bitwise_equal(f.packed(), lu));
+      expect_solves_match_reference(f, 11);
+    }
+  }
 }
 
 TEST(Lu, MatrixRhsValidatesShapeUpFront) {
