@@ -8,9 +8,9 @@
 // Table-1 workloads) are well inside its comfort zone.
 //
 // Determinism contract: ties are broken by smallest node index through an
-// ordered (degree, node) set, every container update is sequential, and no
-// randomness or wall-clock enters — the ordering is a pure function of the
-// sparsity pattern, so factorisations that share a pattern share an
+// indexed (degree, node) min-heap, every container update is sequential,
+// and no randomness or wall-clock enters — the ordering is a pure function
+// of the sparsity pattern, so factorisations that share a pattern share an
 // ordering bit-for-bit (the property the symbolic-reuse path relies on).
 #pragma once
 

@@ -92,8 +92,14 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
   auto& reach_ptr = symbolic_.reach_ptr_;
   auto& reach = symbolic_.reach_;
 
-  lower_.resize(n_);
-  upper_.resize(n_);
+  l_ptr_.reserve(n_ + 1);
+  u_ptr_.reserve(n_ + 1);
+  l_ptr_.assign(1, 0);
+  u_ptr_.assign(1, 0);
+  l_row_.clear();
+  l_val_.clear();
+  u_row_.clear();
+  u_val_.clear();
   diag_.assign(n_, 0.0);
   x_.assign(n_, 0.0);
   pinv_.assign(n_, kNone);  // original row -> pivot step
@@ -137,11 +143,14 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
         mark_[start] = k;
         while (!node_stack.empty()) {
           const std::size_t node = node_stack.back();
+          // Columns are read by index: l_row_ grows as column k is stored.
           const std::size_t piv = pinv_[node];
-          const auto* col = piv == kNone ? nullptr : &lower_[piv];
+          const std::size_t col_begin = piv == kNone ? 0 : l_ptr_[piv];
+          const std::size_t col_size =
+              piv == kNone ? 0 : l_ptr_[piv + 1] - col_begin;
           bool descended = false;
-          while (col && child_pos.back() < col->rows.size()) {
-            const std::size_t child = col->rows[child_pos.back()++];
+          while (child_pos.back() < col_size) {
+            const std::size_t child = l_row_[col_begin + child_pos.back()++];
             if (mark_[child] != k) {
               mark_[child] = k;
               node_stack.push_back(child);
@@ -170,9 +179,8 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
       if (piv == kNone) continue;
       const double xn = x_[node];
       if (xn == 0.0) continue;
-      const Col& col = lower_[piv];
-      for (std::size_t q = 0; q < col.rows.size(); ++q)
-        x_[col.rows[q]] -= col.vals[q] * xn;
+      for (std::size_t q = l_ptr_[piv]; q < l_ptr_[piv + 1]; ++q)
+        x_[l_row_[q]] -= l_val_[q] * xn;
     }
 
     // --- Partial pivoting among not-yet-pivoted rows, preferring the
@@ -210,12 +218,6 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
     // Numerically-zero entries are kept so the stored pattern is a pure
     // function of A's pattern and the pivot sequence — the invariant that
     // makes the replayed schedule bitwise-equivalent to a fresh DFS.
-    Col& lo = lower_[k];
-    Col& up = upper_[k];
-    lo.rows.clear();
-    lo.vals.clear();
-    up.rows.clear();
-    up.vals.clear();
     for (std::size_t idx = 0; idx < pat_size; ++idx) {
       const std::size_t node = pat[idx];
       const double val = x_[node];
@@ -223,13 +225,15 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
       if (node == pivot_row) continue;
       const std::size_t piv = pinv_[node];
       if (piv != kNone) {
-        up.rows.push_back(piv);
-        up.vals.push_back(val);
+        u_row_.push_back(piv);
+        u_val_.push_back(val);
       } else {
-        lo.rows.push_back(node);
-        lo.vals.push_back(val / diag_[k]);
+        l_row_.push_back(node);
+        l_val_.push_back(val / diag_[k]);
       }
     }
+    l_ptr_.push_back(l_row_.size());
+    u_ptr_.push_back(u_row_.size());
 
     if constexpr (!kReuse) {
       if (reach_ptr.empty()) reach_ptr.push_back(0);
@@ -240,22 +244,14 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
   if constexpr (!kReuse) {
     if (reach_ptr.empty()) reach_ptr.push_back(0);  // n == 0
   }
-  std::size_t bytes = diag_.size() * sizeof(double);
-  for (const Col& c : lower_)
-    bytes += c.rows.size() * sizeof(std::size_t) +
-             c.vals.size() * sizeof(double);
-  for (const Col& c : upper_)
-    bytes += c.rows.size() * sizeof(std::size_t) +
-             c.vals.size() * sizeof(double);
-  charge_.set(bytes);
+  charge_.set((l_ptr_.size() + l_row_.size() + u_ptr_.size() +
+               u_row_.size()) * sizeof(std::size_t) +
+              (l_val_.size() + u_val_.size() + diag_.size()) * sizeof(double));
   return true;
 }
 
 std::size_t SparseLu::fill_nnz() const {
-  std::size_t nnz = n_;
-  for (const Col& c : lower_) nnz += c.rows.size();
-  for (const Col& c : upper_) nnz += c.rows.size();
-  return nnz;
+  return n_ + l_row_.size() + u_row_.size();
 }
 
 Vector SparseLu::solve(const Vector& b) const {
@@ -270,18 +266,16 @@ Vector SparseLu::solve(const Vector& b) const {
     const double yk = work[perm[k]];
     y[k] = yk;
     if (yk == 0.0) continue;
-    const Col& col = lower_[k];
-    for (std::size_t q = 0; q < col.rows.size(); ++q)
-      work[col.rows[q]] -= col.vals[q] * yk;
+    for (std::size_t q = l_ptr_[k]; q < l_ptr_[k + 1]; ++q)
+      work[l_row_[q]] -= l_val_[q] * yk;
   }
   // Back substitution with U (entries of column k sit at pivot rows < k).
   for (std::size_t k = n_; k-- > 0;) {
     const double xk = y[k] / diag_[k];
     y[k] = xk;
     if (xk == 0.0) continue;
-    const Col& col = upper_[k];
-    for (std::size_t q = 0; q < col.rows.size(); ++q)
-      y[col.rows[q]] -= col.vals[q] * xk;
+    for (std::size_t q = u_ptr_[k]; q < u_ptr_[k + 1]; ++q)
+      y[u_row_[q]] -= u_val_[q] * xk;
   }
   // Undo the fill-reducing column permutation: step k solved for x[order[k]].
   Vector x(n_);

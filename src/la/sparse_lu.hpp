@@ -99,11 +99,6 @@ class SparseLu {
   Vector solve(const Vector& b) const;
 
  private:
-  struct Col {
-    std::vector<std::size_t> rows;
-    std::vector<double> vals;
-  };
-
   /// One numeric sweep. kReuse = false: DFS per column, records reach and
   /// pivots into symbolic_, throws on singularity. kReuse = true: replays
   /// the cached reach and pivot sequence, returns false the moment a pivot
@@ -114,9 +109,12 @@ class SparseLu {
 
   SparseLuSymbolic symbolic_;
   std::size_t n_ = 0;
-  std::vector<Col> lower_;  // strictly-lower part, unit diagonal implicit
-  std::vector<Col> upper_;  // upper part excluding diagonal
-  Vector diag_;             // U diagonal
+  // Flat column storage: column k of a triangle is row/val[ptr[k],
+  // ptr[k+1]). L is strictly lower with an implicit unit diagonal and holds
+  // original row indices; U excludes the diagonal and holds pivot steps.
+  std::vector<std::size_t> l_ptr_, l_row_, u_ptr_, u_row_;
+  std::vector<double> l_val_, u_val_;
+  Vector diag_;  // U diagonal
   // Workspaces kept across refactorisations to avoid reallocation.
   std::vector<double> x_;
   std::vector<std::size_t> pinv_, mark_;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "extract/partial_inductance.hpp"
 #include "la/lu.hpp"
@@ -77,18 +78,19 @@ MqsSolver::MqsSolver(const std::vector<geom::Segment>& segments,
 
   // Parent-endpoint nodes: filaments of one parent share its two nodes, so
   // current can redistribute laterally only at segment boundaries (volume
-  // filament discretisation).
+  // filament discretisation). Ids follow first appearance; the sorted
+  // lookup table node_at() searches is built once below.
+  std::unordered_map<std::uint64_t, std::size_t> ids;
+  ids.reserve(2 * segments.size());
   auto get_node = [&](const geom::Point& p, int layer, geom::NetKind kind) {
-    const std::uint64_t key = key_of(p, layer, snap_);
-    const auto it = std::lower_bound(
-        node_keys_.begin(), node_keys_.end(), key,
-        [](const auto& e, std::uint64_t k) { return e.first < k; });
-    if (it != node_keys_.end() && it->first == key) return it->second;
-    const std::size_t id = node_count_++;
-    node_keys_.insert(it, {key, id});
-    node_info_.push_back({p, layer, kind});
-    alias_.push_back(id);
-    return id;
+    const auto [it, inserted] =
+        ids.try_emplace(key_of(p, layer, snap_), node_count_);
+    if (inserted) {
+      node_keys_.emplace_back(it->first, node_count_);
+      node_info_.push_back({p, layer, kind});
+      alias_.push_back(node_count_++);
+    }
+    return it->second;
   };
 
   fil_a_.reserve(filaments_.size());
@@ -105,6 +107,7 @@ MqsSolver::MqsSolver(const std::vector<geom::Segment>& segments,
     fil_resistance_.push_back(
         std::max(rho * f.length() / (f.width * f.thickness), 1e-9));
   }
+  std::sort(node_keys_.begin(), node_keys_.end());
 
   method_ = opts.method;
   if (method_ == ExtractionMethod::Auto)

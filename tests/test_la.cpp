@@ -5,11 +5,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <set>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 
+#include "../bench/bench_common.hpp"
+#include "circuit/mna.hpp"
 #include "govern/budget.hpp"
+#include "govern/memory.hpp"
 #include "la/amd.hpp"
 #include "la/cholesky.hpp"
 #include "la/dense_matrix.hpp"
@@ -18,6 +23,8 @@
 #include "la/qr.hpp"
 #include "la/sparse.hpp"
 #include "la/sparse_lu.hpp"
+#include "loop/mqs_solver.hpp"
+#include "peec/model_builder.hpp"
 #include "robust/recovery.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
@@ -1058,6 +1065,354 @@ TEST(LuBlocked, WorkBudgetCancelsMidFactor) {
   EXPECT_THROW(LuFactor<double>{a}, ind::govern::CancelledError);
   gov.configure({});
   gov.begin_run();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// AMD oracle and flat sparse-LU storage.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using ind::geom::um;
+
+// The quotient-graph minimum degree on an ordered (degree, node) set and
+// per-node vectors, kept as the oracle: la::amd_order must return exactly
+// this order on every pattern.
+std::vector<std::size_t> reference_amd_order(const CscMatrix& a) {
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const std::size_t n = a.rows();
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  if (n == 0) return order;
+
+  // Symmetric adjacency of A + Aᵀ, no self-loops, sorted and deduplicated.
+  std::vector<std::vector<std::size_t>> var_adj(n);
+  {
+    const auto& cp = a.col_ptr();
+    const auto& ri = a.row_idx();
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t p = cp[j]; p < cp[j + 1]; ++p) {
+        const std::size_t i = ri[p];
+        if (i == j) continue;
+        var_adj[i].push_back(j);
+        var_adj[j].push_back(i);
+      }
+    }
+    for (auto& nb : var_adj) {
+      std::sort(nb.begin(), nb.end());
+      nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
+    }
+  }
+
+  // Quotient graph: an eliminated pivot p becomes element p whose variable
+  // list elem_vars[p] is the clique its elimination would fill in. Variables
+  // track plain-edge neighbours (var_adj, shrinking as edges get covered by
+  // elements) plus adjacent elements (var_elem).
+  std::vector<std::vector<std::size_t>> elem_vars(n);
+  std::vector<std::vector<std::size_t>> var_elem(n);
+  std::vector<char> alive(n, 1);
+  std::vector<char> absorbed(n, 0);
+  std::vector<std::size_t> degree(n), mark(n, kNone);
+
+  // (degree, node) priority set: deterministic min-degree with
+  // smallest-index tie-break.
+  std::set<std::pair<std::size_t, std::size_t>> queue;
+  for (std::size_t i = 0; i < n; ++i) {
+    degree[i] = var_adj[i].size();
+    queue.emplace(degree[i], i);
+  }
+
+  std::vector<std::size_t> lp;  // variables of the new element
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto [d, p] = *queue.begin();
+    queue.erase(queue.begin());
+    (void)d;
+
+    // L_p = (adjacent variables ∪ variables of adjacent elements) \ {p}.
+    lp.clear();
+    mark[p] = k;
+    for (const std::size_t v : var_adj[p]) {
+      if (!alive[v] || mark[v] == k) continue;
+      mark[v] = k;
+      lp.push_back(v);
+    }
+    for (const std::size_t e : var_elem[p]) {
+      for (const std::size_t v : elem_vars[e]) {
+        if (!alive[v] || mark[v] == k) continue;
+        mark[v] = k;
+        lp.push_back(v);
+      }
+    }
+    std::sort(lp.begin(), lp.end());
+
+    // Old elements reachable from p are absorbed into the new element p.
+    for (const std::size_t e : var_elem[p]) {
+      absorbed[e] = 1;
+      elem_vars[e].clear();
+      elem_vars[e].shrink_to_fit();
+    }
+    var_elem[p].clear();
+    elem_vars[p] = lp;
+
+    for (const std::size_t i : lp) {
+      // Edges into L_p ∪ {p} are now covered by element p; dead variables
+      // are dropped on the same pass.
+      auto& nb = var_adj[i];
+      nb.erase(std::remove_if(nb.begin(), nb.end(),
+                              [&](std::size_t v) {
+                                return !alive[v] || v == p || mark[v] == k;
+                              }),
+               nb.end());
+      auto& el = var_elem[i];
+      el.erase(std::remove_if(el.begin(), el.end(),
+                              [&](std::size_t e) { return absorbed[e] != 0; }),
+               el.end());
+      el.push_back(p);
+
+      // Approximate external degree: plain edges plus element sizes (shared
+      // members may be double-counted — the "approximate" in AMD).
+      std::size_t d2 = nb.size();
+      for (const std::size_t e : el) d2 += elem_vars[e].size() - 1;
+      queue.erase({degree[i], i});
+      degree[i] = d2;
+      queue.emplace(d2, i);
+    }
+
+    alive[p] = 0;
+    var_adj[p].clear();
+    var_adj[p].shrink_to_fit();
+    order.push_back(p);
+  }
+  return order;
+}
+
+// The Table-1 clock net's full PEEC-RLC companion matrix G + (2/h) C with
+// the drivers stamped — the pattern the transient's sparse LU orders.
+CscMatrix table1_peec_rlc_matrix() {
+  ind::geom::Layout layout(ind::geom::default_tech());
+  ind::bench::ClockGridSpec spec;
+  spec.pads_per_side = 2;
+  spec.levels = 3;
+  ind::bench::add_clock_over_grid(layout, spec);
+  ind::peec::PeecOptions popts;
+  popts.max_segment_length = um(160);
+  popts.decap.sites = 24;
+  popts.background.enable = true;
+  popts.background.sources = 8;
+  popts.mutual_window = um(200);
+  const ind::peec::PeecModel model = ind::peec::build_peec_model(layout, popts);
+  const ind::circuit::Mna mna(model.netlist);
+  TripletMatrix g, c;
+  mna.stamp_static(g, c);
+  mna.stamp_drivers(g, 0.0);
+  for (const auto& e : c.entries()) g.add(e.row, e.col, 1e12 * e.value);
+  return CscMatrix(g);
+}
+
+struct NodalSystem {
+  CscMatrix a;
+  std::size_t cells = 0;
+};
+
+// The crossover bus's FFT-GMRES preconditioner matrix: the real-equivalent
+// [[Re, -Im], [Im, Re]] of S = P + A diag(y) Aᵀ on the port's lattice
+// incidence, stamped as fast/precond.cpp does, with one cell admittance.
+NodalSystem crossover_nodal_system(int wires, int cols) {
+  constexpr double kPitch = 4e-6;
+  ind::geom::Layout bus(ind::geom::default_tech());
+  const int sig = bus.add_net("sig", ind::geom::NetKind::Signal);
+  const int gnd = bus.add_net("gnd", ind::geom::NetKind::Ground);
+  const double len = cols * kPitch;
+  for (int w = 0; w < wires; ++w)
+    bus.add_wire(w == 0 ? sig : gnd, 6, {0, w * kPitch}, {len, w * kPitch},
+                 um(2));
+  const ind::geom::Layout l = ind::geom::refine(bus, kPitch);
+  ind::loop::MqsOptions opts;
+  opts.method = ind::loop::ExtractionMethod::FftGmres;
+  opts.fast.voxel.pitch = kPitch;
+  ind::loop::MqsSolver solver(l.segments(), l.vias(), l.tech(), opts);
+  solver.short_nodes(*solver.node_at({len, 0}, 6),
+                     *solver.node_at({len, kPitch}, 6));
+  const ind::fast::LatticeIncidence inc = solver.lattice_incidence(
+      *solver.node_at({0, 0}, 6), *solver.node_at({0, kPitch}, 6));
+
+  const std::size_t m = inc.nodes;
+  TripletMatrix t(2 * m, 2 * m);
+  const auto stamp = [&](std::size_t i, std::size_t j, Complex v) {
+    if (v.real() != 0.0) {
+      t.add(i, j, v.real());
+      t.add(i + m, j + m, v.real());
+    }
+    if (v.imag() != 0.0) {
+      t.add(i, j + m, -v.imag());
+      t.add(i + m, j, v.imag());
+    }
+  };
+  const Complex y = 1.0 / Complex(1.0, 2.0);
+  for (std::size_t c = 0; c < inc.node_a.size(); ++c) {
+    const std::ptrdiff_t na = inc.node_a[c], nb = inc.node_b[c];
+    if (na == nb) continue;
+    const auto a = static_cast<std::size_t>(na);
+    const auto b = static_cast<std::size_t>(nb);
+    if (na >= 0) stamp(a, a, y);
+    if (nb >= 0) stamp(b, b, y);
+    if (na >= 0 && nb >= 0) {
+      stamp(a, b, -y);
+      stamp(b, a, -y);
+    }
+  }
+  for (const std::size_t p : inc.pins) stamp(p, p, 1.0);
+  return {CscMatrix(t), solver.voxel_grid()->cells.size()};
+}
+
+TEST(Amd, MatchesReferenceOnGridLaplacians) {
+  for (const int n : {1, 2, 3, 5, 8, 13, 21, 34})
+    EXPECT_EQ(amd_order(grid_laplacian(n)),
+              reference_amd_order(grid_laplacian(n)))
+        << n << "x" << n;
+}
+
+TEST(Amd, MatchesReferenceOnRandomUnsymmetricPatterns) {
+  std::uint64_t s = 12345;
+  const auto next = [&] {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return s >> 33;
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + next() % 400;
+    const std::size_t per_col = 1 + next() % 6;
+    TripletMatrix t(n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (next() % 8 != 0) t.add(j, j, 1.0);  // some structural zeros
+      for (std::size_t q = 0; q < per_col; ++q)
+        if (next() % 3 != 0) t.add(next() % n, j, 1.0);
+    }
+    const CscMatrix a(t);
+    EXPECT_EQ(amd_order(a), reference_amd_order(a)) << "trial " << trial;
+  }
+}
+
+TEST(Amd, MatchesReferenceOnArrowMatrix) {
+  for (const std::size_t n : {2u, 16u, 257u}) {
+    TripletMatrix t(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      t.add(i, i, 10.0);
+      if (i > 0) {
+        t.add(0, i, 0.1);
+        t.add(i, 0, 0.1);
+      }
+    }
+    const CscMatrix a(t);
+    EXPECT_EQ(amd_order(a), reference_amd_order(a)) << n;
+  }
+}
+
+TEST(Amd, MatchesReferenceOnTable1PeecRlcPattern) {
+  const CscMatrix a = table1_peec_rlc_matrix();
+  ASSERT_EQ(a.rows(), 871u);
+  EXPECT_EQ(amd_order(a), reference_amd_order(a));
+}
+
+TEST(Amd, MatchesReferenceOnCrossoverNodalPattern) {
+  const NodalSystem sys = crossover_nodal_system(4, 256);
+  EXPECT_EQ(amd_order(sys.a), reference_amd_order(sys.a));
+}
+
+TEST(SparseLu, PivotDriftMidFactorThenRefactorStayBitwise) {
+  // Same pattern, one value changed: a huge sub-diagonal entry in the
+  // column eliminated half-way forces an off-diagonal pivot there, so the
+  // numeric-only replay abandons a half-built factor and reruns in full.
+  const CscMatrix a0 = grid_laplacian(16);
+  const std::vector<std::size_t> order = amd_order(a0);
+  std::vector<std::size_t> pos(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) pos[order[k]] = k;
+  std::size_t col = 0, row = 0;
+  for (std::size_t k = order.size() / 2; k < order.size() && row == col;
+       ++k) {
+    const std::size_t j = order[k];
+    for (std::size_t p = a0.col_ptr()[j]; p < a0.col_ptr()[j + 1]; ++p)
+      if (pos[a0.row_idx()[p]] > k) {
+        col = j;
+        row = a0.row_idx()[p];
+      }
+  }
+  ASSERT_NE(row, col);
+  TripletMatrix t(a0.rows(), a0.cols());
+  for (std::size_t j = 0; j < a0.cols(); ++j)
+    for (std::size_t p = a0.col_ptr()[j]; p < a0.col_ptr()[j + 1]; ++p)
+      t.add(a0.row_idx()[p], j,
+            a0.row_idx()[p] == row && j == col ? 1e6 : a0.values()[p]);
+  const CscMatrix a1(t);
+
+  auto& drift = ind::runtime::MetricsRegistry::instance().counter(
+      "factor.sparse_lu.pivot_drift");
+  SparseLu lu(a0);
+  const auto drift_before = drift.value.load();
+  lu.refactor(a1);
+  EXPECT_EQ(drift.value.load(), drift_before + 1);
+
+  Vector b(a0.rows());
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = std::sin(0.7 * static_cast<double>(i));
+  const auto expect_bitwise = [&](const CscMatrix& a) {
+    const SparseLu fresh(a);
+    EXPECT_EQ(lu.fill_nnz(), fresh.fill_nnz());
+    const Vector x = lu.solve(b);
+    const Vector x_ref = fresh.solve(b);
+    for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], x_ref[i]);
+  };
+  expect_bitwise(a1);
+  lu.refactor(a1);  // replays the new schedule: numeric-only, no drift
+  EXPECT_EQ(drift.value.load(), drift_before + 1);
+  expect_bitwise(a1);
+  lu.refactor(a0);  // drifts back
+  EXPECT_EQ(drift.value.load(), drift_before + 2);
+  expect_bitwise(a0);
+}
+
+TEST(SparseLu, FillCountAndMemChargeMatchFlatArrays) {
+  for (const CscMatrix& a :
+       {grid_laplacian(1), grid_laplacian(12), table1_peec_rlc_matrix()}) {
+    const std::int64_t before = ind::govern::tracked_bytes();
+    {
+      SparseLu lu(a);
+      const std::size_t n = a.rows(), fill = lu.fill_nnz();
+      EXPECT_GE(fill, a.nnz());
+      // Per triangle: n+1 column pointers; fill - n off-diagonal entries
+      // (row + value) across L and U; n diagonal values.
+      const std::size_t bytes =
+          (2 * (n + 1) + (fill - n)) * sizeof(std::size_t) +
+          fill * sizeof(double);
+      EXPECT_EQ(ind::govern::tracked_bytes() - before,
+                static_cast<std::int64_t>(bytes));
+      lu.refactor(a);
+      EXPECT_EQ(ind::govern::tracked_bytes() - before,
+                static_cast<std::int64_t>(bytes));
+    }
+    EXPECT_EQ(ind::govern::tracked_bytes(), before);
+  }
+}
+
+TEST(SparseLu, TwelveThousandUnknownLatticeStaysWithinFillBound) {
+  // The 6144-cell crossover preconditioner: ~12.3k real unknowns. The
+  // fft-crossover CI gate asserts fill <= 16x the voxel cells.
+  const NodalSystem sys = crossover_nodal_system(8, 768);
+  ASSERT_GT(sys.a.rows(), 12000u);
+  const SparseLu lu(sys.a);
+  EXPECT_LE(lu.fill_nnz(), 16 * sys.cells);
+  Vector b(sys.a.rows());
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = std::cos(0.1 * static_cast<double>(i));
+  const Vector x = lu.solve(b);
+  const Vector ax = sys.a.apply(x);
+  double err = 0.0, norm = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    err = std::max(err, std::abs(ax[i] - b[i]));
+    norm = std::max(norm, std::abs(b[i]));
+  }
+  EXPECT_LE(err, 1e-9 * norm);
 }
 
 }  // namespace

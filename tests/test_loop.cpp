@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <tuple>
 
 #include "circuit/transient.hpp"
 #include "circuit/waveform.hpp"
+#include "extract/skin.hpp"
 #include "geom/topologies.hpp"
 #include "loop/ladder_fit.hpp"
 #include "loop/loop_model.hpp"
@@ -90,6 +93,46 @@ TEST(MqsSolver, PortOnShortedNodesThrows) {
   const auto b = solver.node_at({0, um(10)}, 6);
   solver.short_nodes(*a, *b);
   EXPECT_THROW(solver.port_impedance(*a, *b, 1e9), std::invalid_argument);
+}
+
+TEST(MqsSolver, NodeIdsFollowFirstAppearanceOnLargeBus) {
+  // 16 wires x 768 pitch-long segments: 12288 filaments, 12304 nodes.
+  constexpr double kPitch = 4e-6;
+  geom::Layout bus(geom::default_tech());
+  const int sig = bus.add_net("sig", geom::NetKind::Signal);
+  const int gnd = bus.add_net("gnd", geom::NetKind::Ground);
+  for (int w = 0; w < 16; ++w)
+    bus.add_wire(w == 0 ? sig : gnd, 6, {0, w * kPitch},
+                 {768 * kPitch, w * kPitch}, um(2));
+  const geom::Layout l = geom::refine(bus, kPitch);
+  loop::MqsOptions opts;
+  opts.method = loop::ExtractionMethod::FftGmres;
+  opts.fast.voxel.pitch = kPitch;
+  const loop::MqsSolver solver(l.segments(), l.vias(), l.tech(), opts);
+  ASSERT_GE(solver.num_filaments(), 12000u);
+
+  // Naive reference: walk the filaments' parent endpoints in order and
+  // number each new snapped (x, y, layer) point as it first appears.
+  std::vector<std::size_t> parent_of;
+  const auto filaments = extract::split_all(l.segments(), parent_of, opts.skin);
+  ASSERT_EQ(filaments.size(), solver.num_filaments());
+  std::map<std::tuple<long long, long long, int>, std::size_t> ids;
+  for (std::size_t k = 0; k < filaments.size(); ++k) {
+    const geom::Segment& parent = l.segments()[parent_of[k]];
+    for (const geom::Point& p : {parent.a, parent.b}) {
+      const auto key = std::make_tuple(std::llround(p.x / opts.snap),
+                                       std::llround(p.y / opts.snap),
+                                       parent.layer);
+      const std::size_t id = ids.try_emplace(key, ids.size()).first->second;
+      const auto got = solver.node_at(p, parent.layer);
+      ASSERT_TRUE(got.has_value()) << "filament " << k;
+      ASSERT_EQ(*got, id) << "filament " << k;
+    }
+  }
+  EXPECT_EQ(solver.num_nodes(), ids.size());
+  EXPECT_EQ(ids.size(), 16u * 769u);
+  EXPECT_FALSE(solver.node_at({0, 0.5 * kPitch}, 6).has_value());
+  EXPECT_FALSE(solver.node_at({0, 0}, 5).has_value());
 }
 
 TEST(LoopExtraction, SkinEffectSignature) {

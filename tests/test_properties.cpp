@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include "circuit/transient.hpp"
@@ -33,6 +34,13 @@ struct BusParams {
   double length_um;
   double width_um;
 };
+
+// Without a printer gtest shows (and CTest names) each instance by a byte
+// dump of the struct, padding included, which changes from build to build.
+void PrintTo(const BusParams& p, std::ostream* os) {
+  *os << "{wires=" << p.wires << ", pitch=" << p.pitch_um
+      << "um, length=" << p.length_um << "um, width=" << p.width_um << "um}";
+}
 
 class PartialMatrixPsd : public ::testing::TestWithParam<BusParams> {};
 
